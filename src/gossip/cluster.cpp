@@ -38,6 +38,10 @@ void Node::bind_socket() {
 }
 
 void Node::start() {
+  // Any lifecycle transition before the staggered join supersedes it: a
+  // member that crashed first is down (or restart() already brought it
+  // up), and binding now would claim the port a later restart() needs.
+  if (epoch_ != 0) return;
   running_ = true;
   bind_socket();
   if (id_ == 0) {

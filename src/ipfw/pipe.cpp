@@ -29,7 +29,7 @@ Pipe::Pipe(sim::Simulation& sim, PipeConfig config, Rng rng)
   P2PLAB_ASSERT(config_.loss_rate >= 0.0 && config_.loss_rate <= 1.0);
 }
 
-void Pipe::enqueue(Segment seg) {
+bool Pipe::enqueue(Segment&& seg) {
   ++stats_.segments_in;
   stats_.bytes_in += seg.size.count_bytes();
   metrics_.segments_in.inc();
@@ -40,15 +40,13 @@ void Pipe::enqueue(Segment seg) {
     ++stats_.segments_dropped;
     ++stats_.segments_dropped_down;
     metrics_.drops_down.inc();
-    if (seg.on_drop) seg.on_drop();
-    return;
+    return false;
   }
 
   if (config_.loss_rate > 0.0 && rng_.chance(config_.loss_rate)) {
     ++stats_.segments_dropped;
     metrics_.drops_loss.inc();
-    if (seg.on_drop) seg.on_drop();
-    return;
+    return false;
   }
 
   if (config_.burst_loss.enabled()) {
@@ -64,27 +62,14 @@ void Pipe::enqueue(Segment seg) {
       ++stats_.segments_dropped;
       ++stats_.segments_dropped_burst;
       metrics_.drops_burst.inc();
-      if (seg.on_drop) seg.on_drop();
-      return;
+      return false;
     }
   }
 
   // Pure delay element: no queueing, no serialization.
   if (config_.bandwidth.is_unlimited()) {
-    ++stats_.segments_out;
-    stats_.bytes_out += seg.size.count_bytes();
-    metrics_.segments_out.inc();
-    metrics_.bytes_out.inc(seg.size.count_bytes());
-    auto cb = std::move(seg.on_exit);
-    if (seg.defer_delay != nullptr) {
-      *seg.defer_delay += config_.delay;
-      cb();
-    } else if (config_.delay == Duration::zero()) {
-      cb();
-    } else {
-      sim_.schedule_after(config_.delay, std::move(cb));
-    }
-    return;
+    depart(std::move(seg));
+    return true;
   }
 
   if (queued_bytes_ + seg.size.count_bytes() >
@@ -93,14 +78,13 @@ void Pipe::enqueue(Segment seg) {
     // Queue full (the in-service segment does not count against the queue).
     ++stats_.segments_dropped;
     metrics_.drops_overflow.inc();
-    if (seg.on_drop) seg.on_drop();
-    return;
+    return false;
   }
 
   if (!busy_) {
     // Idle server: begin service immediately, bypassing the queue.
     start_service(std::move(seg));
-    return;
+    return true;
   }
 
   queued_bytes_ += seg.size.count_bytes();
@@ -112,6 +96,7 @@ void Pipe::enqueue(Segment seg) {
   } else {
     fifo_.push_back(std::move(seg));
   }
+  return true;
 }
 
 void Pipe::ring_add(FlowId flow) {
@@ -146,10 +131,9 @@ void Pipe::serve_next() {
       busy_ = false;
       return;
     }
-    Segment seg = std::move(fifo_.front());
+    queued_bytes_ -= fifo_.front().size.count_bytes();
+    start_service(std::move(fifo_.front()));
     fifo_.pop_front();
-    queued_bytes_ -= seg.size.count_bytes();
-    start_service(std::move(seg));
     return;
   }
 
@@ -167,9 +151,9 @@ void Pipe::serve_next() {
     const std::uint64_t head_bytes = fq.segments.front().size.count_bytes();
     if (fq.deficit_bytes >= head_bytes) {
       fq.deficit_bytes -= head_bytes;
-      Segment seg = std::move(fq.segments.front());
-      fq.segments.pop_front();
       queued_bytes_ -= head_bytes;
+      start_service(std::move(fq.segments.front()));
+      fq.segments.pop_front();
       if (fq.segments.empty()) {
         // An emptied flow leaves the ring and forfeits its deficit (classic
         // DRR — prevents a returning flow from bursting). The map entry and
@@ -178,9 +162,8 @@ void Pipe::serve_next() {
         // returns.
         fq.deficit_bytes = 0;
         spare_.splice(spare_.end(), active_, active_.begin());
-        maybe_sweep_flows();
+        maybe_sweep_flows();  // may erase fq: nothing below touches it
       }
-      start_service(std::move(seg));
       return;
     }
     fq.deficit_bytes += kDrrQuantumBytes;
@@ -188,33 +171,34 @@ void Pipe::serve_next() {
   }
 }
 
-void Pipe::start_service(Segment seg) {
+void Pipe::start_service(Segment&& seg) {
   busy_ = true;
   const Duration service = config_.bandwidth.transmission_time(seg.size);
   // The in-service segment waits inside the pipe itself, so the completion
-  // event captures one pointer. Moving it out *before* depart/serve_next
-  // frees the slot for whatever those start serving next.
+  // event captures one pointer. depart() is done with it before
+  // serve_next() parks the next segment here.
   in_service_ = std::move(seg);
   sim_.schedule_after(service, [this] {
-    Segment done = std::move(in_service_);
-    depart(std::move(done));
+    depart(std::move(in_service_));
     serve_next();
   });
 }
 
-void Pipe::depart(Segment seg) {
+void Pipe::depart(Segment&& seg) {
   ++stats_.segments_out;
   stats_.bytes_out += seg.size.count_bytes();
   metrics_.segments_out.inc();
   metrics_.bytes_out.inc(seg.size.count_bytes());
-  auto cb = std::move(seg.on_exit);
+  // on_exit runs (or is scheduled) straight from the segment. Running it
+  // in place is safe even from in_service_: busy_ is still set, so a
+  // re-entrant enqueue on this pipe only queues.
   if (seg.defer_delay != nullptr) {
     *seg.defer_delay += config_.delay;
-    cb();
+    seg.on_exit();
   } else if (config_.delay == Duration::zero()) {
-    cb();
+    seg.on_exit();
   } else {
-    sim_.schedule_after(config_.delay, std::move(cb));
+    sim_.schedule_after(config_.delay, std::move(seg.on_exit));
   }
 }
 

@@ -89,13 +89,13 @@ struct PipeMetrics {
 
 class Pipe {
  public:
-  /// `on_exit` runs when the segment leaves the delay line; `on_drop` (may
-  /// be empty) runs if the segment is lost at enqueue. When `defer_delay`
-  /// is set, the fixed delay stage is not simulated here: the pipe adds its
-  /// configured delay to `*defer_delay` and runs `on_exit` as soon as the
-  /// bandwidth stage completes. The parallel engine uses this on source-side
-  /// pipes so the cross-shard handoff timestamp carries the delay — that is
-  /// what makes the inter-host latency usable as conservative lookahead.
+  /// `on_exit` runs when the segment leaves the delay line. When
+  /// `defer_delay` is set, the fixed delay stage is not simulated here: the
+  /// pipe adds its configured delay to `*defer_delay` and runs `on_exit` as
+  /// soon as the bandwidth stage completes. The parallel engine uses this
+  /// on source-side pipes so the cross-shard handoff timestamp carries the
+  /// delay — that is what makes the inter-host latency usable as
+  /// conservative lookahead.
   struct Segment {
     DataSize size;
     FlowId flow = 0;
@@ -103,7 +103,6 @@ class Pipe {
     // carry a move-only pooled PacketRef, and the whole point of the pipe
     // walk is to move it stage to stage without touching the allocator.
     sim::InlineCallback on_exit;
-    sim::InlineCallback on_drop;
     Duration* defer_delay = nullptr;
   };
 
@@ -112,7 +111,11 @@ class Pipe {
   Pipe(const Pipe&) = delete;
   Pipe& operator=(const Pipe&) = delete;
 
-  void enqueue(Segment seg);
+  /// Offer a segment to the pipe. Every loss (down, random, burst, queue
+  /// overflow) is decided here, synchronously: false means the segment was
+  /// dropped and `seg` still owns its untouched `on_exit`; true means the
+  /// pipe took it and will run `on_exit` exactly once.
+  bool enqueue(Segment&& seg);
 
   const PipeConfig& config() const { return config_; }
   const PipeStats& stats() const { return stats_; }
@@ -139,8 +142,8 @@ class Pipe {
   };
 
   void serve_next();
-  void start_service(Segment seg);
-  void depart(Segment seg);  // bandwidth stage done -> delay line
+  void start_service(Segment&& seg);
+  void depart(Segment&& seg);  // bandwidth stage done -> delay line
   void ring_add(FlowId flow);
   void maybe_sweep_flows();
 
@@ -161,7 +164,7 @@ class Pipe {
   /// The segment occupying the bandwidth server. Parking it here lets the
   /// service-completion event capture only `this` (one pointer, no heap
   /// boxing); valid exactly while `busy_` between start_service and the
-  /// completion event moving it back out.
+  /// completion event handing it to depart().
   Segment in_service_;
 
   // DRR state: per-flow queues plus an active ring in service order.

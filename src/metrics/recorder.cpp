@@ -31,9 +31,8 @@ void crash_dump() {
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(std::size_t capacity) {
+FlightRecorder::FlightRecorder(std::size_t capacity) : capacity_(capacity) {
   P2PLAB_ASSERT(capacity > 0);
-  buf_.resize(capacity);
 }
 
 FlightRecorder::~FlightRecorder() {
@@ -43,22 +42,22 @@ FlightRecorder::~FlightRecorder() {
 void FlightRecorder::record(SimTime t, std::string_view subsystem,
                             std::string_view kind,
                             std::vector<TraceField> fields) {
+  if (next_ == buf_.size()) buf_.emplace_back();  // still growing
   Event& slot = buf_[next_];
   slot.t = t;
   slot.subsystem.assign(subsystem);
   slot.kind.assign(kind);
   slot.fields = std::move(fields);
-  next_ = (next_ + 1) % buf_.size();
+  next_ = (next_ + 1) % capacity_;
   ++total_;
 }
 
 std::size_t FlightRecorder::size() const {
-  return total_ < buf_.size() ? static_cast<std::size_t>(total_)
-                              : buf_.size();
+  return total_ < capacity_ ? static_cast<std::size_t>(total_) : capacity_;
 }
 
 std::uint64_t FlightRecorder::dropped() const {
-  return total_ <= buf_.size() ? 0 : total_ - buf_.size();
+  return total_ <= capacity_ ? 0 : total_ - capacity_;
 }
 
 void FlightRecorder::clear() {
@@ -119,9 +118,9 @@ std::string FlightRecorder::render_line(const Event& ev) {
 
 void FlightRecorder::flush(std::FILE* out) const {
   const std::size_t held = size();
-  const std::size_t start = total_ > buf_.size() ? next_ : 0;
+  const std::size_t start = total_ > capacity_ ? next_ : 0;
   for (std::size_t i = 0; i < held; ++i) {
-    const Event& ev = buf_[(start + i) % buf_.size()];
+    const Event& ev = buf_[(start + i) % capacity_];
     std::fputs(render_line(ev).c_str(), out);
     std::fputc('\n', out);
   }
@@ -132,9 +131,9 @@ std::vector<FlightRecorder::RenderedEvent> FlightRecorder::rendered_events()
   std::vector<RenderedEvent> out;
   const std::size_t held = size();
   out.reserve(held);
-  const std::size_t start = total_ > buf_.size() ? next_ : 0;
+  const std::size_t start = total_ > capacity_ ? next_ : 0;
   for (std::size_t i = 0; i < held; ++i) {
-    const Event& ev = buf_[(start + i) % buf_.size()];
+    const Event& ev = buf_[(start + i) % capacity_];
     out.push_back(RenderedEvent{ev.t, render_line(ev)});
   }
   return out;

@@ -51,7 +51,7 @@ class FlightRecorder {
   void record(SimTime t, std::string_view subsystem, std::string_view kind,
               std::vector<TraceField> fields = {});
 
-  std::size_t capacity() const { return buf_.size(); }
+  std::size_t capacity() const { return capacity_; }
   /// Events currently held (<= capacity).
   std::size_t size() const;
   /// Events recorded over the recorder's lifetime.
@@ -99,7 +99,11 @@ class FlightRecorder {
 
   static std::string render_line(const Event& ev);
 
+  // Grows on demand up to capacity_, then wraps: most runs record a few
+  // hundred events, and a preallocated ring would build (and fault in)
+  // capacity_ empty events per recorder.
   std::vector<Event> buf_;
+  std::size_t capacity_;
   std::size_t next_ = 0;   // slot the next record lands in
   std::uint64_t total_ = 0;
 };

@@ -266,7 +266,7 @@ void Network::pass_pipes(PacketRef packet, Host& host, ipfw::PipeList pipes,
   // 61 bytes of capture — the closure InlineCallback's budget is sized for.
   // If a pipe drops the segment, the continuation (and the ref inside it)
   // is destroyed unexecuted and the cell recycles on its own.
-  host.firewall().pipe(id).enqueue(ipfw::Pipe::Segment{
+  const bool accepted = host.firewall().pipe(id).enqueue(ipfw::Pipe::Segment{
       .size = size,
       .flow = flow,
       .on_exit =
@@ -275,12 +275,11 @@ void Network::pass_pipes(PacketRef packet, Host& host, ipfw::PipeList pipes,
             pass_pipes(std::move(packet), host, std::move(pipes), index + 1,
                        stage);
           },
-      .on_drop =
-          [this] {
-            ++stats_.packets_dropped_pipe;
-            metrics_.packets_dropped_pipe.inc();
-          },
       .defer_delay = defer});
+  if (!accepted) {
+    ++stats_.packets_dropped_pipe;
+    metrics_.packets_dropped_pipe.inc();
+  }
 }
 
 void Network::finish_path(PacketRef packet, Host& host, PathStage stage) {

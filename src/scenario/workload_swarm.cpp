@@ -52,6 +52,7 @@ class SwarmWorkload final : public Workload {
   std::vector<bool> faulted_;  // per client: scheduled to crash or leave
   std::vector<bool> rejoins_;  // per client: scheduled to come back
   std::size_t node_failures_ = 0;
+  bool world_stopped_ = false;  // set before the drain check stops clients
 };
 
 void SwarmWorkload::setup(ExperimentRunner& runner) {
@@ -134,7 +135,11 @@ void SwarmWorkload::setup_faults(ExperimentRunner& runner) {
       .on_leave = [process_of](std::size_t v) {
         if (bt::Client* c = process_of(v)) c->stop();
       },
-      .on_rejoin = [process_of](std::size_t v) {
+      .on_rejoin = [this, process_of](std::size_t v) {
+        // Once the drain check has stopped the world, a late rejoin brings
+        // the address back but not the process: a restarted client would
+        // re-arm its announce and rechoke timers forever.
+        if (world_stopped_) return;
         if (bt::Client* c = process_of(v)) c->start();
       }});
   injector_->set_service_hooks(fault::ServiceHooks{
@@ -211,6 +216,8 @@ int SwarmWorkload::execute(ExperimentRunner& runner) {
     }
     // Nothing wedged: stop the world and the event queue must drain — any
     // surviving retransmit timer or periodic task would keep it non-empty.
+    // Faults still pending keep firing, but no rejoin restarts a process.
+    world_stopped_ = true;
     for (std::size_t c = 0; c < spec_.swarm.clients; ++c) {
       swarm_->client(c).stop();
     }

@@ -61,6 +61,25 @@ class InlineCallback {
   InlineCallback& operator=(const InlineCallback&) = delete;
   ~InlineCallback() { reset(); }
 
+  /// Replace the target with `f`, built directly in this object's buffer:
+  /// no temporary InlineCallback, no relocation. The simulation kernel
+  /// uses it to construct event closures in their slab slot. Passing an
+  /// InlineCallback rvalue relocates its target in once.
+  template <typename F>
+  void emplace(F&& f) {
+    using D = std::decay_t<F>;
+    reset();
+    if constexpr (std::is_same_v<D, InlineCallback>) {
+      static_assert(!std::is_lvalue_reference_v<F>,
+                    "InlineCallback is move-only: emplace(std::move(cb))");
+      steal(f);
+    } else {
+      static_assert(std::is_invocable_r_v<void, D&>,
+                    "emplace needs a void() callable");
+      construct<D>(std::forward<F>(f));
+    }
+  }
+
   /// Invoke the target (repeatedly invocable; PeriodicTask relies on it).
   void operator()() {
     P2PLAB_ASSERT_MSG(ops_ != nullptr, "invoking an empty InlineCallback");

@@ -5,12 +5,20 @@
 // scheduling order (FIFO), which the rest of the platform relies on for
 // determinism.
 //
-// Storage is split: callbacks live in a slab (stable slots, recycled via a
-// free list) and the heap orders compact 24-byte {when, seq, slot} entries.
-// That makes cancel() a true O(1) slab store (no scan, no heap surgery —
-// the entry is dropped lazily at pop time) and keeps sift swaps small: a
-// swap moves 24 bytes instead of a whole closure, which matters because
-// dispatch cost dominates 10^8-event runs.
+// Storage is split: callbacks live in a slab and the heap orders compact
+// 24-byte {when, seq, slot} entries. That makes cancel() a true O(1) slab
+// store (no scan, no heap surgery — the entry is dropped lazily at pop
+// time) and keeps sifts small: a heap move shifts 24 bytes instead of a
+// whole closure, which matters because dispatch cost dominates
+// 10^8-event runs.
+//
+// The event path never relocates a closure. The slab is a list of
+// geometrically growing chunks, so a slot's address is stable for its
+// whole life;
+// schedule_at() builds the closure directly in its slot
+// (InlineCallback::emplace), and dispatch runs it there and recycles the
+// slot only after it returns. Callbacks may therefore schedule any number
+// of events — growing the slab by whole chunks — while they run.
 //
 // The kernel itself is single-threaded: one Simulation is one logical
 // timeline and must only ever be driven from one thread at a time. The
@@ -22,9 +30,11 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -60,37 +70,44 @@ class Simulation {
   /// heap and tick sim.alloc.callback_heap_fallbacks.
   using Callback = InlineCallback;
 
+  /// Slots in the first slab chunk; chunk c holds kFirstChunkSlots << c
+  /// slots, so the slab grows geometrically like a vector but never moves
+  /// a slot. Small, so that a short-lived simulation costs one small
+  /// allocation.
+  static constexpr std::uint32_t kFirstChunkShift = 8;
+  static constexpr std::uint32_t kFirstChunkSlots = 1u << kFirstChunkShift;
+
   Simulation() = default;
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
+  ~Simulation() {
+    for (std::uint32_t i = 0; i < slab_size_; ++i) slot(i).~Slot();
+  }
 
   SimTime now() const { return now_; }
 
-  /// Schedule `cb` at absolute time `when` (>= now).
-  EventId schedule_at(SimTime when, Callback cb) {
+  /// Schedule `f` at absolute time `when` (>= now). `f` is any void()
+  /// callable, or a Callback; it is constructed in place in its slot.
+  template <typename F>
+  EventId schedule_at(SimTime when, F&& f) {
     P2PLAB_ASSERT_MSG(when >= now_, "cannot schedule into the past");
-    if (cb.on_heap()) metrics_.callback_heap_fallbacks.inc();
     const std::uint64_t seq = ++next_seq_;
-    std::uint32_t slot;
-    if (free_slots_.empty()) {
-      slot = static_cast<std::uint32_t>(slab_.size());
-      slab_.push_back(Slot{seq, std::move(cb), false});
-      metrics_.slab_capacity.set(static_cast<double>(slab_.capacity()));
-    } else {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-      slab_[slot] = Slot{seq, std::move(cb), false};
-    }
-    heap_.push_back(HeapEntry{when, seq, slot});
-    sift_up(heap_.size() - 1);
+    const std::uint32_t index = acquire_slot();
+    Slot& s = slot(index);
+    s.seq = seq;
+    s.cancelled = false;
+    s.cb.emplace(std::forward<F>(f));
+    if (s.cb.on_heap()) metrics_.callback_heap_fallbacks.inc();
+    push_heap(HeapEntry{when, seq, index});
     ++live_events_;
     metrics_.scheduled.inc();
-    return EventId{seq, slot};
+    return EventId{seq, index};
   }
 
-  /// Schedule `cb` after a relative delay (>= 0).
-  EventId schedule_after(Duration delay, Callback cb) {
-    return schedule_at(now_ + delay, std::move(cb));
+  /// Schedule `f` after a relative delay (>= 0).
+  template <typename F>
+  EventId schedule_after(Duration delay, F&& f) {
+    return schedule_at(now_ + delay, std::forward<F>(f));
   }
 
   /// Cancel a pending event in O(1): the slab slot is flagged and the heap
@@ -98,8 +115,8 @@ class Simulation {
   /// was still pending. Safe to call with an invalid/fired/already-cancelled
   /// id (slot recycling is disambiguated by the sequence number).
   bool cancel(EventId id) {
-    if (!id.valid() || id.slot_ >= slab_.size()) return false;
-    Slot& s = slab_[id.slot_];
+    if (!id.valid() || id.slot_ >= slab_size_) return false;
+    Slot& s = slot(id.slot_);
     if (s.seq != id.seq_ || s.cancelled) return false;
     s.cancelled = true;
     s.cb = nullptr;  // release captures promptly
@@ -132,40 +149,10 @@ class Simulation {
 
   /// Run one event. Returns false if the queue is empty.
   bool step() {
-    for (;;) {
-      if (heap_.empty()) return false;
-      const HeapEntry top = pop_top();
-      Slot& s = slab_[top.slot];
-      if (s.cancelled) {
-        free_slots_.push_back(top.slot);
-        continue;
-      }
-      P2PLAB_ASSERT(top.when >= now_);
-      now_ = top.when;
-      Callback cb = std::move(s.cb);
-      s.cb = nullptr;
-      s.cancelled = true;  // slot is dead until recycled
-      free_slots_.push_back(top.slot);
-      --live_events_;
-      ++dispatched_;
-      metrics_.dispatched.inc();
-      metrics_.queue_depth.set(static_cast<double>(live_events_));
-      if (profile_dispatch_ &&
-          (dispatched_ & (kDispatchSamplePeriod - 1)) == 0) {
-        // Wall-clock one callback in kDispatchSamplePeriod: the histogram
-        // stays representative while the two clock reads are amortized to
-        // noise on the 10^8-event hot path.
-        const auto t0 = std::chrono::steady_clock::now();
-        cb();
-        const auto t1 = std::chrono::steady_clock::now();
-        metrics_.dispatch_ns.record(static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                .count()));
-      } else {
-        cb();
-      }
-      return true;
+    while (!heap_.empty()) {
+      if (dispatch_front()) return true;
     }
+    return false;
   }
 
   /// Run until the queue drains.
@@ -177,22 +164,16 @@ class Simulation {
   /// Run until the clock would pass `deadline`; the clock is left at
   /// min(deadline, time of last event). Events at exactly `deadline` run.
   void run_until(SimTime deadline) {
-    for (;;) {
-      const auto next = next_event_time();
-      if (!next || *next > deadline) break;
-      step();
-    }
+    // A cancelled top entry past the deadline ends the loop too: every
+    // live event lies at or after it.
+    while (!heap_.empty() && heap_.front().when <= deadline) dispatch_front();
     if (now_ < deadline) now_ = deadline;
   }
 
   /// Run events strictly before `end`; the clock is NOT advanced to `end`
   /// (the parallel engine owns window-boundary clock advancement).
   void run_before(SimTime end) {
-    for (;;) {
-      const auto next = next_event_time();
-      if (!next || *next >= end) break;
-      step();
-    }
+    while (!heap_.empty() && heap_.front().when < end) dispatch_front();
   }
 
   /// Run while `predicate()` is true and events remain.
@@ -201,18 +182,20 @@ class Simulation {
     }
   }
 
-  /// Slots currently allocated in the slab (capacity watermark; the gauge
-  /// sim.slab.capacity tracks the backing vector's capacity).
-  size_t slab_size() const { return slab_.size(); }
+  /// Slots currently in use or on the free list (a watermark; the gauge
+  /// sim.slab.capacity counts the slots of every allocated chunk).
+  size_t slab_size() const { return slab_size_; }
 
   /// Shrink kernel storage after a burst: recycle every cancelled heap
-  /// entry, pop dead trailing slab slots, and release excess vector
-  /// capacity. Dispatch order is untouched — the heap is rebuilt on the
+  /// entry, pop dead trailing slab slots, and release the chunks past the
+  /// new tail. Dispatch order is untouched — the heap is rebuilt on the
   /// same (when, seq) total order — so this is safe at any quiescent
   /// point; the parallel engine calls maybe_compact() at window
   /// boundaries, where each shard's kernel is between events by
-  /// construction.
+  /// construction. Never call it from inside a callback: the running
+  /// slot may be the tail.
   void compact() {
+    P2PLAB_ASSERT_MSG(!dispatching_, "compact() inside a callback");
     if (compact_hook_ != nullptr) {
       const auto t0 = std::chrono::steady_clock::now();
       compact_impl();
@@ -237,7 +220,7 @@ class Simulation {
  private:
   void compact_impl() {
     std::erase_if(heap_, [this](const HeapEntry& e) {
-      if (!slab_[e.slot].cancelled) return false;
+      if (!slot(e.slot).cancelled) return false;
       free_slots_.push_back(e.slot);
       return true;
     });
@@ -246,17 +229,19 @@ class Simulation {
               [](const HeapEntry& a, const HeapEntry& b) { return a.before(b); });
     // Only trailing dead slots can be returned; interior ones must stay,
     // since live heap entries index into the slab.
-    while (!slab_.empty() && slab_.back().cancelled) slab_.pop_back();
+    while (slab_size_ > 0 && slot(slab_size_ - 1).cancelled) {
+      slot(--slab_size_).~Slot();
+    }
     std::erase_if(free_slots_, [this](std::uint32_t s) {
-      return s >= slab_.size();
+      return s >= slab_size_;
     });
-    if (slab_.capacity() > 2 * slab_.size()) slab_.shrink_to_fit();
+    chunks_.resize(chunks_for(slab_size_));
     if (heap_.capacity() > 2 * heap_.size()) heap_.shrink_to_fit();
     if (free_slots_.capacity() > 2 * free_slots_.size()) {
       free_slots_.shrink_to_fit();
     }
-    last_compact_slots_ = slab_.size();
-    metrics_.slab_capacity.set(static_cast<double>(slab_.capacity()));
+    last_compact_slots_ = slab_size_;
+    metrics_.slab_capacity.set(static_cast<double>(slab_capacity()));
   }
 
  public:
@@ -265,9 +250,8 @@ class Simulation {
   /// check O(1) between growths: a compact that could not shrink (a live
   /// slot pins the tail) is not retried until the slab grows again.
   void maybe_compact() {
-    if (slab_.size() >= kCompactMinSlots &&
-        live_events_ * 4 < slab_.size() &&
-        slab_.size() != last_compact_slots_) {
+    if (slab_size_ >= kCompactMinSlots && live_events_ * 4 < slab_size_ &&
+        slab_size_ != last_compact_slots_) {
       compact();
     }
   }
@@ -286,7 +270,7 @@ class Simulation {
     metrics_.callback_heap_fallbacks =
         reg.counter("sim.alloc.callback_heap_fallbacks");
     metrics_.slab_capacity = reg.gauge("sim.slab.capacity");
-    metrics_.slab_capacity.set(static_cast<double>(slab_.capacity()));
+    metrics_.slab_capacity.set(static_cast<double>(slab_capacity()));
     metrics_.dispatch_ns = reg.histogram(
         "sim.dispatch.wall_ns",
         {100, 250, 500, 1000, 2500, 5000, 10000, 25000, 100000, 1000000});
@@ -313,47 +297,133 @@ class Simulation {
     }
   };
 
-  // 4-ary heap: half the depth of a binary heap and fewer cache misses,
-  // which matters because dispatch cost dominates 10^8-event runs.
-  static constexpr size_t kArity = 4;
+  // Slot i lives in chunk c = floor(log2(i + kFirstChunkSlots)) -
+  // kFirstChunkShift, at offset i + kFirstChunkSlots - 2^(c +
+  // kFirstChunkShift). Chunks are raw storage: a slot is constructed only
+  // once the slab reaches it, so an untouched tail never becomes resident.
+  static_assert(alignof(Slot) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
 
-  void sift_up(size_t i) {
-    while (i > 0) {
-      const size_t parent = (i - 1) / kArity;
-      if (!heap_[i].before(heap_[parent])) break;
-      std::swap(heap_[i], heap_[parent]);
-      i = parent;
-    }
+  void* slot_storage(std::uint32_t i) {
+    const std::uint32_t j = i + kFirstChunkSlots;
+    const auto top = static_cast<std::uint32_t>(std::bit_width(j)) - 1;
+    return chunks_[top - kFirstChunkShift].get() +
+           sizeof(Slot) * (j - (1u << top));
+  }
+  Slot& slot(std::uint32_t i) {
+    return *std::launder(static_cast<Slot*>(slot_storage(i)));
   }
 
-  void sift_down(size_t i) {
-    const size_t n = heap_.size();
-    for (;;) {
-      const size_t first_child = kArity * i + 1;
-      if (first_child >= n) break;
-      const size_t last_child = std::min(first_child + kArity, n);
-      size_t smallest = i;
-      for (size_t c = first_child; c < last_child; ++c) {
-        if (heap_[c].before(heap_[smallest])) smallest = c;
-      }
-      if (smallest == i) break;
-      std::swap(heap_[i], heap_[smallest]);
-      i = smallest;
+  /// Chunks holding slots [0, n).
+  static size_t chunks_for(std::uint32_t n) {
+    if (n == 0) return 0;
+    return static_cast<size_t>(std::bit_width(n - 1 + kFirstChunkSlots)) -
+           kFirstChunkShift;
+  }
+
+  size_t slab_capacity() const {
+    return size_t{kFirstChunkSlots} * ((size_t{1} << chunks_.size()) - 1);
+  }
+
+  std::uint32_t acquire_slot() {
+    if (!free_slots_.empty()) {
+      const std::uint32_t index = free_slots_.back();
+      free_slots_.pop_back();
+      return index;
     }
+    if (slab_size_ == slab_capacity()) {
+      chunks_.push_back(std::make_unique_for_overwrite<unsigned char[]>(
+          sizeof(Slot) * (size_t{kFirstChunkSlots} << chunks_.size())));
+      metrics_.slab_capacity.set(static_cast<double>(slab_capacity()));
+    }
+    const std::uint32_t index = slab_size_++;
+    ::new (slot_storage(index)) Slot{};
+    return index;
+  }
+
+  /// Pop the heap top and run it in place if it is live. Returns false if
+  /// it was a cancelled entry (recycled, nothing run).
+  bool dispatch_front() {
+    const HeapEntry top = pop_top();
+    Slot& s = slot(top.slot);
+    if (s.cancelled) {
+      free_slots_.push_back(top.slot);
+      return false;
+    }
+    P2PLAB_ASSERT(top.when >= now_);
+    now_ = top.when;
+    // Dead to cancel() from here on, but off the free list until the
+    // callback returns: events it schedules take other slots, so it runs
+    // from storage nothing else writes.
+    s.cancelled = true;
+    --live_events_;
+    ++dispatched_;
+    metrics_.dispatched.inc();
+    metrics_.queue_depth.set(static_cast<double>(live_events_));
+    dispatching_ = true;
+    if (profile_dispatch_ &&
+        (dispatched_ & (kDispatchSamplePeriod - 1)) == 0) {
+      // Wall-clock one callback in kDispatchSamplePeriod: the histogram
+      // stays representative while the two clock reads are amortized to
+      // noise on the 10^8-event hot path.
+      const auto t0 = std::chrono::steady_clock::now();
+      s.cb();
+      const auto t1 = std::chrono::steady_clock::now();
+      metrics_.dispatch_ns.record(static_cast<double>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+              .count()));
+    } else {
+      s.cb();
+    }
+    dispatching_ = false;
+    s.cb = nullptr;
+    free_slots_.push_back(top.slot);
+    return true;
+  }
+
+  // 4-ary heap: half the depth of a binary heap and fewer cache misses,
+  // which matters because dispatch cost dominates 10^8-event runs. Sifts
+  // move a hole instead of swapping: one entry write per level.
+  static constexpr size_t kArity = 4;
+
+  void push_heap(const HeapEntry e) {
+    size_t i = heap_.size();
+    heap_.push_back(e);
+    while (i > 0) {
+      const size_t parent = (i - 1) / kArity;
+      if (!e.before(heap_[parent])) break;
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = e;
   }
 
   HeapEntry pop_top() {
     P2PLAB_ASSERT(!heap_.empty());
     const HeapEntry top = heap_.front();
-    heap_.front() = heap_.back();
+    const HeapEntry last = heap_.back();
     heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
+    const size_t n = heap_.size();
+    if (n == 0) return top;
+    size_t i = 0;
+    for (;;) {
+      const size_t first_child = kArity * i + 1;
+      if (first_child >= n) break;
+      const size_t last_child = std::min(first_child + kArity, n);
+      size_t smallest = first_child;
+      for (size_t c = first_child + 1; c < last_child; ++c) {
+        if (heap_[c].before(heap_[smallest])) smallest = c;
+      }
+      if (!heap_[smallest].before(last)) break;
+      heap_[i] = heap_[smallest];
+      i = smallest;
+    }
+    heap_[i] = last;
     return top;
   }
 
   /// Drop cancelled entries off the heap top so front() is a live event.
   void prune_cancelled_top() {
-    while (!heap_.empty() && slab_[heap_.front().slot].cancelled) {
+    while (!heap_.empty() && slot(heap_.front().slot).cancelled) {
       free_slots_.push_back(pop_top().slot);
     }
   }
@@ -377,11 +447,13 @@ class Simulation {
   std::uint64_t dispatched_ = 0;
   size_t live_events_ = 0;
   std::vector<HeapEntry> heap_;
-  std::vector<Slot> slab_;
+  std::vector<std::unique_ptr<unsigned char[]>> chunks_;
+  std::uint32_t slab_size_ = 0;  // slots [0, slab_size_) are constructed
   std::vector<std::uint32_t> free_slots_;
   size_t last_compact_slots_ = 0;
   KernelMetrics metrics_;
   bool profile_dispatch_ = false;
+  bool dispatching_ = false;
   CompactHook compact_hook_ = nullptr;
   void* compact_ctx_ = nullptr;
 };

@@ -170,6 +170,43 @@ TEST(GossipCluster, RejoinRefutesSuspicionAndHeals) {
   }
 }
 
+// Large clusters join over a long staggered schedule, so churn can hit a
+// member before its join slot. The stale join must not bind the member's
+// port while it is down: its rejoin binds it, and a second bind aborted
+// the run ("port already bound") from 195 members of gossip.scn on.
+TEST(GossipCluster, CrashBeforeJoinSlotThenRejoin) {
+  core::PlatformConfig pc;
+  pc.physical_nodes = 2;
+  pc.seed = 13;
+  const Config config = small_cluster(8);  // node 7 joins at t = 1.4 s
+  core::Platform platform(topology::homogeneous_dsl(8), pc);
+  metrics::Registry registry;
+  platform.bind_metrics(registry);
+  Cluster cluster(platform, config);
+  cluster.bind_metrics();
+
+  fault::FaultPlan plan;
+  plan.crash_and_rejoin(7, at_sec(0.5), Duration::sec(10));
+  plan.crash(6, at_sec(0.5));  // down for good before it ever joined
+  plan.sort();
+  fault::FaultInjector injector(platform, std::move(plan));
+  injector.set_node_hooks(fault::NodeHooks{
+      .on_crash = [&](std::size_t v) { cluster.node(v).crash(); },
+      .on_leave = [&](std::size_t v) { cluster.node(v).stop(); },
+      .on_rejoin = [&](std::size_t v) { cluster.node(v).restart(); }});
+  injector.arm();
+  cluster.start();
+  platform.run(at_sec(60));
+
+  EXPECT_EQ(injector.stats().unrecovered(), 0u);
+  EXPECT_FALSE(cluster.node(6).running());
+  EXPECT_TRUE(cluster.node(7).joined());
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(cluster.node(i).table().entry(7).state, MemberState::kAlive)
+        << "node " << i << " does not see the rejoined member";
+  }
+}
+
 TEST(GossipCluster, GossipIsShardCountInvariant) {
   const RunOutput classic = run_churn(0);
   ASSERT_FALSE(classic.event_log.empty());

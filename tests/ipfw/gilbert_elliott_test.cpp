@@ -16,17 +16,20 @@ class GilbertElliottTest : public ::testing::Test {
   /// and record, per segment, whether it was dropped.
   std::vector<bool> run_segments(Pipe& pipe, int n) {
     std::vector<bool> dropped;
+    std::vector<bool> refused;  // enqueue's verdict, per segment
     dropped.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
       const auto index = dropped.size();
       dropped.push_back(true);  // flipped back by on_exit
-      pipe.enqueue(Pipe::Segment{
+      refused.push_back(!pipe.enqueue(Pipe::Segment{
           .size = DataSize::bytes(1500),
           .flow = 1,
-          .on_exit = [&dropped, index] { dropped[index] = false; },
-          .on_drop = nullptr});
+          .on_exit = [&dropped, index] { dropped[index] = false; }}));
     }
     sim.run();
+    // Every loss is decided at enqueue: the return value names exactly the
+    // segments whose on_exit never ran.
+    EXPECT_EQ(refused, dropped);
     return dropped;
   }
 
@@ -111,8 +114,7 @@ TEST_F(GilbertElliottTest, DeterministicUnderFixedSeed) {
       pipe.enqueue(Pipe::Segment{
           .size = DataSize::bytes(1500),
           .flow = 1,
-          .on_exit = [&dropped, index] { dropped[index] = false; },
-          .on_drop = nullptr});
+          .on_exit = [&dropped, index] { dropped[index] = false; }});
     }
     local_sim.run();
     return dropped;

@@ -15,8 +15,7 @@ class PipeTest : public ::testing::Test {
   Pipe::Segment seg(DataSize size, FlowId flow, std::vector<SimTime>* exits) {
     return Pipe::Segment{
         .size = size, .flow = flow,
-        .on_exit = [this, exits] { exits->push_back(sim.now()); },
-        .on_drop = nullptr};
+        .on_exit = [this, exits] { exits->push_back(sim.now()); }};
   }
 };
 
@@ -98,9 +97,7 @@ TEST_F(PipeTest, QueueOverflowDrops) {
   int dropped = 0;
   std::vector<SimTime> exits;
   for (int i = 0; i < 10; ++i) {
-    Pipe::Segment s = seg(DataSize::bytes(1500), 1, &exits);
-    s.on_drop = [&dropped] { ++dropped; };
-    pipe.enqueue(std::move(s));
+    if (!pipe.enqueue(seg(DataSize::bytes(1500), 1, &exits))) ++dropped;
   }
   sim.run();
   // 1 in service + 2 queued fit; the rest drop.
@@ -114,9 +111,10 @@ TEST_F(PipeTest, RandomLossDropsExpectedFraction) {
   int delivered = 0;
   int dropped = 0;
   for (int i = 0; i < 5000; ++i) {
-    pipe.enqueue(Pipe::Segment{.size = DataSize::bytes(100), .flow = 1,
-                               .on_exit = [&delivered] { ++delivered; },
-                               .on_drop = [&dropped] { ++dropped; }});
+    if (!pipe.enqueue(Pipe::Segment{.size = DataSize::bytes(100), .flow = 1,
+                                    .on_exit = [&delivered] { ++delivered; }})) {
+      ++dropped;
+    }
   }
   sim.run();
   EXPECT_EQ(delivered + dropped, 5000);

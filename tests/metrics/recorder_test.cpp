@@ -63,6 +63,39 @@ TEST(FlightRecorder, RingWrapsOldestFirst) {
   EXPECT_EQ(expect, 10);
 }
 
+TEST(FlightRecorder, WrapsAfterLazyGrowth) {
+  // The ring grows one event at a time up to its capacity, then wraps;
+  // flush() and rendered_events() must agree at every stage.
+  FlightRecorder rec(5);
+  EXPECT_EQ(rec.capacity(), 5u);
+  auto check = [&rec](int first, int last) {
+    std::string rendered;
+    for (const auto& ev : rec.rendered_events()) rendered += ev.line + "\n";
+    const std::string out = flush_to_string(rec);
+    EXPECT_EQ(out, rendered);
+    std::string expected;
+    for (int i = first; i <= last; ++i) {
+      expected += "{\"t\":0.00" + std::to_string(i % 10) +
+                  "000000,\"subsystem\":\"t\",\"kind\":\"e\",\"i\":" +
+                  std::to_string(i) + "}\n";
+    }
+    EXPECT_EQ(out, expected);
+  };
+  for (int i = 0; i < 3; ++i) rec.record(at_ms(i), "t", "e", {{"i", i}});
+  EXPECT_EQ(rec.size(), 3u);
+  check(0, 2);
+  for (int i = 3; i < 12; ++i) rec.record(at_ms(i % 10), "t", "e", {{"i", i}});
+  EXPECT_EQ(rec.size(), 5u);
+  EXPECT_EQ(rec.recorded(), 12u);
+  EXPECT_EQ(rec.dropped(), 7u);
+  check(7, 11);
+  // After clear() the grown buffer is reused from the start.
+  rec.clear();
+  for (int i = 0; i < 2; ++i) rec.record(at_ms(i), "t", "e", {{"i", i}});
+  EXPECT_EQ(rec.dropped(), 0u);
+  check(0, 1);
+}
+
 TEST(FlightRecorder, ClearEmpties) {
   FlightRecorder rec(4);
   rec.record(at_ms(0), "t", "e");

@@ -94,6 +94,30 @@ TEST(ExperimentRunner, ChurnDirectiveInjectsAndRecovers) {
   EXPECT_EQ(runner.run(), 0);  // invariant checks pass
 }
 
+ScenarioSpec shipped(const char* file, std::vector<std::string> overrides) {
+  ParseResult parsed = parse_scenario_file(
+      std::string(P2PLAB_SOURCE_DIR) + "/scenarios/" + file, overrides);
+  EXPECT_TRUE(parsed.spec) << parsed.error;
+  return parsed.spec ? std::move(*parsed.spec) : ScenarioSpec{};
+}
+
+// With 16 clients the survivors finish before the churn window closes, so
+// a crash-and-rejoin fires after the drain check has stopped every client.
+// The rejoin used to restart the client, whose announce retries and
+// periodic tasks then kept the queue from ever draining.
+TEST(ExperimentRunner, ChurnDrainsWhenRejoinFiresAfterStop) {
+  ExperimentRunner runner(shipped(
+      "churn.scn", {"engine.transport=tcp", "workload.clients=16"}));
+  EXPECT_EQ(runner.run(), 0);  // includes "event queue drains after stop"
+}
+
+// 195 members join over 39 s, into the 30-90 s churn window: some victims
+// crash before their join slot and later rejoin.
+TEST(ExperimentRunner, GossipSurvivesCrashBeforeJoinAtScale) {
+  ExperimentRunner runner(shipped("gossip.scn", {"workload.nodes=195"}));
+  EXPECT_EQ(runner.run(), 0);
+}
+
 TEST(ExperimentRunner, PingSweepProducesRttCurve) {
   ScenarioSpec spec;
   spec.name = "mini_ping";

@@ -55,6 +55,31 @@ TEST(InlineCallback, OversizedCaptureFallsBackToHeapAndCounts) {
   EXPECT_EQ(InlineCallback::heap_fallbacks(), before + 1);  // move is free
 }
 
+TEST(InlineCallback, EmplaceBuildsFromLambda) {
+  auto p = std::make_unique<int>(5);
+  int out = 0;
+  InlineCallback cb = [&out] { out = -1; };
+  cb.emplace([p = std::move(p), &out] { out = *p; });  // replaces the target
+  EXPECT_FALSE(cb.on_heap());
+  cb();
+  EXPECT_EQ(out, 5);
+}
+
+TEST(InlineCallback, EmplaceRelocatesAnInlineCallback) {
+  auto p = std::make_shared<int>(8);
+  int out = 0;
+  InlineCallback src = [p, &out] { out = *p; };
+  EXPECT_EQ(p.use_count(), 2);
+  InlineCallback dst;
+  dst.emplace(std::move(src));
+  EXPECT_FALSE(src);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(p.use_count(), 2);  // relocated, not copied
+  dst();
+  EXPECT_EQ(out, 8);
+  dst = nullptr;
+  EXPECT_EQ(p.use_count(), 1);
+}
+
 TEST(InlineCallback, CarriesMoveOnlyCapture) {
   auto p = std::make_unique<int>(41);
   int out = 0;

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "metrics/registry.hpp"
 
 namespace p2plab::sim {
 namespace {
@@ -224,6 +227,119 @@ TEST(Simulation, CompactKeepsSchedulingUsable) {
   sim.schedule_after(Duration::ms(1), [&] { ++fired; });
   sim.run();
   EXPECT_EQ(fired, 1);
+}
+
+// A callback runs from its own slab slot. Scheduling more than a chunk of
+// events from inside it grows the slab by whole chunks but never moves the
+// running closure: its captures must read back intact afterwards (ASan
+// would flag a closure run from freed or reallocated storage).
+TEST(Simulation, CallbackSchedulesChunksDuringItsOwnDispatch) {
+  Simulation sim;
+  // Slots 0..2054 span the first four chunks (256 + 512 + 1024 + 2048).
+  constexpr int kEvents = 8 * static_cast<int>(Simulation::kFirstChunkSlots) + 6;
+  std::vector<int> order;
+  std::array<std::uint64_t, 4> pattern{};  // keeps the closure inline
+  for (std::size_t i = 0; i < pattern.size(); ++i) pattern[i] = 0xabc0 + i;
+  bool captures_intact = false;
+  sim.schedule_after(Duration::ms(1), [&sim, &order, &captures_intact,
+                                       pattern] {
+    for (int i = 0; i < kEvents; ++i) {
+      sim.schedule_after(Duration::ms(1 + i % 3),
+                         [&order, i] { order.push_back(i); });
+    }
+    bool intact = true;
+    for (std::size_t i = 0; i < pattern.size(); ++i) {
+      intact = intact && pattern[i] == 0xabc0 + i;
+    }
+    captures_intact = intact;
+  });
+  sim.run();
+  EXPECT_TRUE(captures_intact);
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kEvents));
+  // (when, seq) order: the i % 3 == 0 events first, each group FIFO.
+  std::vector<int> expected;
+  for (int r = 0; r < 3; ++r) {
+    for (int i = r; i < kEvents; i += 3) expected.push_back(i);
+  }
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(sim.slab_size(), static_cast<std::size_t>(kEvents) + 1);
+}
+
+TEST(Simulation, SelfCancelInsideCallbackReturnsFalse) {
+  Simulation sim;
+  EventId self;
+  bool cancelled = true;
+  int fired = 0;
+  self = sim.schedule_after(Duration::ms(1), [&] {
+    ++fired;
+    cancelled = sim.cancel(self);
+  });
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_FALSE(cancelled);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Simulation, SlotIsNotRecycledWhileItsCallbackRuns) {
+  Simulation sim;
+  int fired = 0;
+  sim.schedule_after(Duration::ms(1), [&] {
+    // The running slot is still busy: this event must take a new one.
+    sim.schedule_after(Duration::ms(1), [&fired] { ++fired; });
+    EXPECT_EQ(sim.slab_size(), 2u);
+  });
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  // Both slots are free again once their callbacks have returned.
+  sim.schedule_after(Duration::ms(1), [&fired] { ++fired; });
+  sim.schedule_after(Duration::ms(1), [&fired] { ++fired; });
+  EXPECT_EQ(sim.slab_size(), 2u);
+  sim.run();
+  EXPECT_EQ(fired, 3);
+}
+
+TEST(Simulation, CompactReleasesTrailingChunks) {
+  metrics::Registry reg;
+  Simulation sim;
+  sim.bind_metrics(reg);
+  const std::uint32_t first = Simulation::kFirstChunkSlots;
+  // Exactly three chunks: first + 2 * first + 4 * first slots.
+  std::vector<EventId> ids;
+  for (std::uint32_t i = 0; i < 7 * first; ++i) {
+    ids.push_back(sim.schedule_after(Duration::ms(1 + i), [] {}));
+  }
+  EXPECT_EQ(sim.slab_size(), 7u * first);
+  EXPECT_EQ(reg.value("sim.slab.capacity"), 7.0 * first);
+  // Keep the first 10 events; the two tail chunks hold only dead slots.
+  for (std::size_t i = 10; i < ids.size(); ++i) sim.cancel(ids[i]);
+  sim.compact();
+  EXPECT_EQ(sim.slab_size(), 10u);
+  EXPECT_EQ(reg.value("sim.slab.capacity"), static_cast<double>(first));
+  EXPECT_EQ(sim.pending_events(), 10u);
+  int fired = 0;
+  for (std::uint32_t i = 0; i < first; ++i) {
+    sim.schedule_after(Duration::ms(1), [&fired] { ++fired; });
+  }
+  EXPECT_EQ(reg.value("sim.slab.capacity"), 3.0 * first);  // regrown
+  sim.run();
+  EXPECT_EQ(fired, static_cast<int>(first));
+}
+
+TEST(Simulation, HeapFallbacksAreCountedPerSchedule) {
+  metrics::Registry reg;
+  Simulation sim;
+  sim.bind_metrics(reg);
+  std::array<char, InlineCallback::kInlineBytes + 1> big{};
+  big[0] = 3;
+  int out = 0;
+  sim.schedule_after(Duration::ms(1), [big, &out] { out += big[0]; });
+  // A prebuilt heap-backed callback is relocated in, and counted too.
+  InlineCallback boxed = [big, &out] { out += big[0]; };
+  sim.schedule_after(Duration::ms(2), std::move(boxed));
+  sim.schedule_after(Duration::ms(3), [&out] { ++out; });  // inline
+  EXPECT_EQ(reg.value("sim.alloc.callback_heap_fallbacks"), 2.0);
+  sim.run();
+  EXPECT_EQ(out, 7);
 }
 
 TEST(PeriodicTask, FiresOnCadence) {
