@@ -1,8 +1,8 @@
 // Hot-path allocation microbench: the headline number behind the
 // zero-allocation work (pooled packets + inline event callbacks).
 //
-// Two phases, both measured after a warmup so slabs, pools and pipe queues
-// are at steady-state capacity:
+// Three phases, each measured after a warmup so slabs, pools and pipe
+// queues are at steady-state capacity:
 //
 //   events:  self-rescheduling timer chains through the bare simulation
 //            kernel — isolates schedule/dispatch cost.
@@ -10,6 +10,10 @@
 //            full emulated path (firewall scan, Dummynet pipes, NICs,
 //            switch, demux delivery) — the per-packet cost that bounds
 //            the paper's Figs 6/9/10 reproduction.
+//   streams: stream connections keep their send buffers topped up through
+//            one bandwidth-limited uplink pipe, so its DRR queue never
+//            drains — the socket send/ack/deliver path and the pipe's
+//            queueing, which the ping-pong phase (never queueing) misses.
 //
 // Allocations are counted by interposing the global operator new/delete of
 // this binary (an atomic tick per call; works in every build type). The
@@ -34,6 +38,8 @@
 #include "profile/profiler.hpp"
 #include "sim/inline_callback.hpp"
 #include "sim/simulation.hpp"
+#include "sockets/socket.hpp"
+#include "vnode/vnode.hpp"
 
 namespace {
 
@@ -134,6 +140,30 @@ PhaseResult run_event_phase(profile::Profiler& prof, std::uint64_t warmup,
   return r;
 }
 
+/// Step `sim` until `delivered` reaches `warmup`, then measure the window
+/// in which it grows by `total` more.
+PhaseResult measure_delivery(profile::Profiler& prof, sim::Simulation& sim,
+                             const std::uint64_t& delivered,
+                             std::uint64_t warmup, std::uint64_t total) {
+  while (delivered < warmup && sim.step()) {
+  }
+  const std::uint64_t alloc0 = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t events0 = sim.dispatched_events();
+  const std::uint64_t delivered0 = delivered;
+  const std::uint64_t fb0 = sim::InlineCallback::heap_fallbacks();
+  PhaseResult r;
+  r.start_ns = prof.now_ns();
+  bench::WallTimer timer;
+  while (delivered < delivered0 + total && sim.step()) {
+  }
+  r.wall_seconds = timer.elapsed_seconds();
+  r.units = delivered - delivered0;
+  r.events = sim.dispatched_events() - events0;
+  r.allocs = g_allocs.load(std::memory_order_relaxed) - alloc0;
+  r.fallbacks = sim::InlineCallback::heap_fallbacks() - fb0;
+  return r;
+}
+
 /// Phase 2: the full per-packet path. Two hosts with shaped access links
 /// ping-pong `inflight` packets; the demux response is the only
 /// application logic, so the measured cost is the emulated network itself.
@@ -186,22 +216,66 @@ PhaseResult run_packet_phase(profile::Profiler& prof, std::uint64_t warmup,
     network.send(make_packet(addr_a, addr_b, 1000 + i));
   }
 
-  while (delivered < warmup && sim.step()) {
+  return measure_delivery(prof, sim, delivered, warmup, total);
+}
+
+/// Phase 3: the stream path. `conns` connections from a to b each keep
+/// their unsent bytes above a watermark, refilling from on_writable; a's
+/// 10 Mb/s uplink pipe (window-bounded, never dropping) is permanently
+/// backlogged, so every message is queued, DRR-served, delivered and
+/// acked. Units are messages delivered. The messages share one body, so
+/// the application itself allocates nothing per message.
+PhaseResult run_stream_phase(profile::Profiler& prof, std::uint64_t warmup,
+                             std::uint64_t total, std::size_t conns) {
+  sim::Simulation sim;
+  net::Network network{sim, Rng{7}};
+  net::Host& a = network.add_host("a", ip("192.168.38.1"));
+  net::Host& b = network.add_host("b", ip("192.168.38.2"));
+  vnode::VirtualNode node_a(a, 1, ip("10.0.0.1"));
+  vnode::VirtualNode node_b(b, 2, ip("10.0.0.2"));
+  vnode::Process proc_a(node_a);
+  vnode::Process proc_b(node_b);
+  sockets::SocketManager mgr{
+      network, {}, sockets::StreamConfig{.send_window = DataSize::kib(64)}};
+  sockets::SocketApi api_a(mgr, proc_a);
+  sockets::SocketApi api_b(mgr, proc_b);
+  const ipfw::PipeId up = a.firewall().create_pipe(
+      {.bandwidth = Bandwidth::mbps(10),
+       .delay = Duration::ms(5),
+       .queue_limit = DataSize::mib(4)});
+  a.firewall().add_rule({.number = 100,
+                         .src = CidrBlock{node_a.ip(), 32},
+                         .dir = ipfw::RuleDir::kOut,
+                         .action = ipfw::RuleAction::kPipe,
+                         .pipe = up});
+
+  std::uint64_t delivered = 0;
+  const sockets::Message message{
+      .type = 1,
+      .size = DataSize::kib(4),
+      .body = std::make_shared<const std::uint64_t>(0)};
+  const DataSize watermark = DataSize::kib(32);
+  auto listener = api_b.listen(6881, [&delivered](sockets::StreamSocketPtr s) {
+    s->on_message([&delivered](sockets::Message&&) { ++delivered; });
+  });
+  std::vector<sockets::StreamSocketPtr> senders;
+  for (std::size_t i = 0; i < conns; ++i) {
+    api_a.connect(node_b.ip(), 6881, [&](sockets::StreamSocketPtr s) {
+      sockets::StreamSocket* raw = s.get();
+      auto refill = [raw, &message, watermark] {
+        while (raw->unsent_bytes() <= 2 * watermark.count_bytes()) {
+          raw->send(message);
+        }
+      };
+      s->on_writable(watermark, refill);
+      refill();
+      senders.push_back(std::move(s));
+    });
   }
-  const std::uint64_t alloc0 = g_allocs.load(std::memory_order_relaxed);
-  const std::uint64_t events0 = sim.dispatched_events();
-  const std::uint64_t delivered0 = delivered;
-  const std::uint64_t fb0 = sim::InlineCallback::heap_fallbacks();
-  PhaseResult r;
-  r.start_ns = prof.now_ns();
-  bench::WallTimer timer;
-  while (delivered < delivered0 + total && sim.step()) {
-  }
-  r.wall_seconds = timer.elapsed_seconds();
-  r.units = delivered - delivered0;
-  r.events = sim.dispatched_events() - events0;
-  r.allocs = g_allocs.load(std::memory_order_relaxed) - alloc0;
-  r.fallbacks = sim::InlineCallback::heap_fallbacks() - fb0;
+
+  const PhaseResult r = measure_delivery(prof, sim, delivered, warmup, total);
+  // Connected client sockets own themselves until they close.
+  for (const sockets::StreamSocketPtr& s : senders) s->close();
   return r;
 }
 
@@ -212,6 +286,8 @@ int run(int argc, char** argv) {
       bench::env_size("P2PLAB_HOTPATH_EVENTS", 4'000'000);
   const std::uint64_t packet_total =
       bench::env_size("P2PLAB_HOTPATH_PACKETS", 400'000);
+  const std::uint64_t stream_total =
+      bench::env_size("P2PLAB_HOTPATH_MESSAGES", 200'000);
 
   // The profiler always exists (one ring, one phase-level sample per
   // measured window — two clock reads outside the hot loops); `profiling`
@@ -223,7 +299,9 @@ int run(int argc, char** argv) {
   const PhaseResult pk =
       run_packet_phase(prof, packet_total / 10, packet_total,
                        /*inflight=*/64);
-  for (std::uint64_t window = 0; const PhaseResult* r : {&ev, &pk}) {
+  const PhaseResult st =
+      run_stream_phase(prof, stream_total / 10, stream_total, /*conns=*/8);
+  for (std::uint64_t window = 0; const PhaseResult* r : {&ev, &pk, &st}) {
     profile::PhaseSample sample;
     sample.start_ns = r->start_ns;
     sample.dur_ns =
@@ -248,6 +326,13 @@ int run(int argc, char** argv) {
       pk.events > 0 ? static_cast<double>(pk.allocs) /
                           static_cast<double>(pk.events)
                     : 0.0;
+  const double messages_per_second =
+      st.wall_seconds > 0 ? static_cast<double>(st.units) / st.wall_seconds
+                          : 0.0;
+  const double st_allocs_per_event =
+      st.events > 0 ? static_cast<double>(st.allocs) /
+                          static_cast<double>(st.events)
+                    : 0.0;
 
   std::printf("phase,units,events,wall_seconds,units_per_second,allocs,"
               "allocs_per_event\n");
@@ -261,6 +346,11 @@ int run(int argc, char** argv) {
               static_cast<unsigned long long>(pk.events), pk.wall_seconds,
               packets_per_second, static_cast<unsigned long long>(pk.allocs),
               pk_allocs_per_event);
+  std::printf("streams,%llu,%llu,%.6f,%.0f,%llu,%.6f\n",
+              static_cast<unsigned long long>(st.units),
+              static_cast<unsigned long long>(st.events), st.wall_seconds,
+              messages_per_second, static_cast<unsigned long long>(st.allocs),
+              st_allocs_per_event);
 
   std::vector<std::pair<std::string, double>> fields = {
       {"cores", static_cast<double>(profile::Profiler::online_cores())},
@@ -271,10 +361,13 @@ int run(int argc, char** argv) {
       {"packets_per_second", packets_per_second},
       {"event_allocs_per_event", ev_allocs_per_event},
       {"packet_allocs_per_event", pk_allocs_per_event},
+      {"stream_messages", static_cast<double>(st.units)},
+      {"stream_messages_per_second", messages_per_second},
+      {"stream_allocs_per_event", st_allocs_per_event},
       // "stays flat over the run" is the steady-state claim the gate
       // checks: fallbacks in the measured windows, not since process start.
       {"callback_heap_fallbacks",
-       static_cast<double>(ev.fallbacks + pk.fallbacks)},
+       static_cast<double>(ev.fallbacks + pk.fallbacks + st.fallbacks)},
       {"peak_rss_bytes", static_cast<double>(bench::peak_rss_bytes())}};
   if (profiling) {
     const profile::Rollup roll = prof.rollup();

@@ -115,6 +115,13 @@ void BM_HashClassifierScan(benchmark::State& state) {
 BENCHMARK(BM_HashClassifierScan)->Arg(50000);
 
 void BM_PipeTransit(benchmark::State& state) {
+  // busy = 0: one segment per iteration into an idle server (no queueing).
+  // busy = 1: a 256-segment burst per iteration, spread over `flows`
+  // flows; all but the first queue behind the busy server and are served
+  // by DRR, so this measures the queue itself.
+  const bool busy = state.range(0) != 0;
+  const auto flows = static_cast<std::uint64_t>(state.range(1));
+  const std::uint64_t burst = busy ? 256 : 1;
   sim::Simulation sim;
   ipfw::Pipe pipe(sim,
                   {.bandwidth = Bandwidth::gbps(10),
@@ -122,14 +129,24 @@ void BM_PipeTransit(benchmark::State& state) {
                   Rng{1});
   std::uint64_t delivered = 0;
   for (auto _ : state) {
-    pipe.enqueue(ipfw::Pipe::Segment{.size = DataSize::kib(16),
-                                     .flow = delivered % 8,
-                                     .on_exit = [&delivered] { ++delivered; }});
+    for (std::uint64_t i = 0; i < burst; ++i) {
+      pipe.enqueue(ipfw::Pipe::Segment{
+          .size = DataSize::kib(16),
+          .flow = (delivered + i) % flows,
+          .on_exit = [&delivered] { ++delivered; }});
+    }
     sim.run();
   }
   benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<benchmark::IterationCount>(burst));
 }
-BENCHMARK(BM_PipeTransit);
+BENCHMARK(BM_PipeTransit)
+    ->ArgNames({"busy", "flows"})
+    ->Args({0, 8})
+    ->Args({1, 1})
+    ->Args({1, 8})
+    ->Args({1, 256});
 
 void BM_Sha1Throughput(benchmark::State& state) {
   std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)));

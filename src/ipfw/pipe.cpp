@@ -1,5 +1,6 @@
 #include "ipfw/pipe.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -89,85 +90,65 @@ bool Pipe::enqueue(Segment&& seg) {
 
   queued_bytes_ += seg.size.count_bytes();
   stats_.max_queue_bytes = std::max(stats_.max_queue_bytes, queued_bytes_);
-  if (config_.fair_queue) {
-    auto [it, inserted] = flows_.try_emplace(seg.flow);
-    if (it->second.segments.empty()) ring_add(seg.flow);
-    it->second.segments.push_back(std::move(seg));
-  } else {
-    fifo_.push_back(std::move(seg));
+  // FIFO mode is DRR over a single flow: the service loop takes no
+  // simulated time, so one flow is served in exact arrival order.
+  const FlowId id = config_.fair_queue ? seg.flow : 0;
+  const std::uint32_t node = alloc_node(std::move(seg));
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    Flow& flow = ring_[i];
+    if (flow.id == id) {
+      slab_[flow.tail].next = node;
+      flow.tail = node;
+      return true;
+    }
   }
+  ring_.push_back(Flow{.id = id, .head = node, .tail = node});
   return true;
 }
 
-void Pipe::ring_add(FlowId flow) {
-  // Reuse a parked ring node if one exists: flows blink in and out of the
-  // ring once per burst of queue pressure, and list nodes splice for free.
-  if (spare_.empty()) {
-    active_.push_back(flow);
-  } else {
-    spare_.front() = flow;
-    active_.splice(active_.end(), spare_, spare_.begin());
+std::uint32_t Pipe::alloc_node(Segment&& seg) {
+  if (free_ == kNil) {
+    slab_.push_back(Node{.seg = std::move(seg)});
+    return static_cast<std::uint32_t>(slab_.size() - 1);
   }
-}
-
-void Pipe::maybe_sweep_flows() {
-  // Parked (empty) flow entries make returning flows allocation-free, but
-  // under long-run connection churn dead entries would pile up. When they
-  // dominate, give the memory back; the next arrival of each flow simply
-  // re-allocates once.
-  if (flows_.size() < kSweepMinFlows ||
-      flows_.size() < 4 * (active_.size() + 1)) {
-    return;
-  }
-  std::erase_if(flows_,
-                [](const auto& kv) { return kv.second.segments.empty(); });
-  spare_.clear();
+  const std::uint32_t index = free_;
+  Node& node = slab_[index];
+  free_ = node.next;
+  node.seg = std::move(seg);
+  node.next = kNil;
+  return index;
 }
 
 void Pipe::serve_next() {
   P2PLAB_ASSERT(busy_);
-  if (!config_.fair_queue) {
-    if (fifo_.empty()) {
-      busy_ = false;
-      return;
-    }
-    queued_bytes_ -= fifo_.front().size.count_bytes();
-    start_service(std::move(fifo_.front()));
-    fifo_.pop_front();
-    return;
-  }
-
-  if (active_.empty()) {
+  if (ring_.empty()) {
     busy_ = false;
     return;
   }
   // Deficit round robin: visit flows in ring order, topping up the deficit
   // until the head segment fits. Bounded: each visit adds a quantum.
   for (;;) {
-    const FlowId fid = active_.front();
-    auto it = flows_.find(fid);
-    P2PLAB_ASSERT(it != flows_.end() && !it->second.segments.empty());
-    FlowQueue& fq = it->second;
-    const std::uint64_t head_bytes = fq.segments.front().size.count_bytes();
-    if (fq.deficit_bytes >= head_bytes) {
-      fq.deficit_bytes -= head_bytes;
+    Flow& flow = ring_.front();
+    const std::uint32_t index = flow.head;
+    Node& node = slab_[index];
+    const std::uint64_t head_bytes = node.seg.size.count_bytes();
+    if (flow.deficit_bytes >= head_bytes) {
+      flow.deficit_bytes -= head_bytes;
       queued_bytes_ -= head_bytes;
-      start_service(std::move(fq.segments.front()));
-      fq.segments.pop_front();
-      if (fq.segments.empty()) {
+      flow.head = node.next;
+      if (flow.head == kNil) {
         // An emptied flow leaves the ring and forfeits its deficit (classic
-        // DRR — prevents a returning flow from bursting). The map entry and
-        // ring node are parked for reuse rather than freed — identical
-        // scheduling behaviour, zero allocator traffic when the flow
-        // returns.
-        fq.deficit_bytes = 0;
-        spare_.splice(spare_.end(), active_, active_.begin());
-        maybe_sweep_flows();  // may erase fq: nothing below touches it
+        // DRR: prevents a returning flow from bursting). It returns at the
+        // back with a fresh record, so no state outlives the backlog.
+        ring_.pop_front();
       }
+      start_service(std::move(node.seg));
+      node.next = free_;
+      free_ = index;
       return;
     }
-    fq.deficit_bytes += kDrrQuantumBytes;
-    active_.splice(active_.end(), active_, active_.begin());  // rotate
+    flow.deficit_bytes += kDrrQuantumBytes;
+    ring_.rotate();
   }
 }
 

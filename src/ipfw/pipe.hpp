@@ -14,10 +14,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
+#include "common/ring_queue.hpp"
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "common/units.hpp"
@@ -136,19 +135,28 @@ class Pipe {
   void bind_metrics(const PipeMetrics& metrics) { metrics_ = metrics; }
 
  private:
-  struct FlowQueue {
-    std::deque<Segment> segments;
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  /// One queued segment in the slab; `next` chains its flow's FIFO.
+  struct Node {
+    Segment seg;
+    std::uint32_t next = kNil;
+  };
+  /// A backlogged flow: a FIFO of slab nodes plus its DRR deficit. Exists
+  /// only while the flow has queued segments.
+  struct Flow {
+    FlowId id = 0;
     std::uint64_t deficit_bytes = 0;
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
   };
 
   void serve_next();
   void start_service(Segment&& seg);
   void depart(Segment&& seg);  // bandwidth stage done -> delay line
-  void ring_add(FlowId flow);
-  void maybe_sweep_flows();
+  std::uint32_t alloc_node(Segment&& seg);
 
   static constexpr std::uint64_t kDrrQuantumBytes = 4096;
-  static constexpr std::size_t kSweepMinFlows = 64;
 
   sim::Simulation& sim_;
   PipeConfig config_;
@@ -167,16 +175,16 @@ class Pipe {
   /// completion event handing it to depart().
   Segment in_service_;
 
-  // DRR state: per-flow queues plus an active ring in service order.
-  // Entries whose queue is empty are parked (not erased) and their ring
-  // nodes rest on spare_, so a flow re-entering the ring costs nothing;
-  // maybe_sweep_flows bounds the parked population.
-  std::unordered_map<FlowId, FlowQueue> flows_;
-  std::list<FlowId> active_;
-  std::list<FlowId> spare_;  // recycled ring nodes
-
-  // FIFO state (fair_queue == false).
-  std::deque<Segment> fifo_;
+  // Queue state. Segments wait in a per-pipe slab, recycled through a free
+  // list, and each backlogged flow threads an intrusive FIFO through it.
+  // The DRR ring is a circular buffer of Flow records in service order; a
+  // flow enters it at the back on its first queued segment and leaves from
+  // the front when served empty. FIFO mode is the same ring holding one
+  // flow. Nothing here allocates once the slab and ring have grown to the
+  // pipe's peak backlog, and a pipe that never queues allocates nothing.
+  std::vector<Node> slab_;
+  std::uint32_t free_ = kNil;
+  RingQueue<Flow> ring_;
 };
 
 }  // namespace p2plab::ipfw

@@ -42,11 +42,17 @@ struct Packet {
   ipfw::FlowId flow = 0;
 
   PacketKind kind = PacketKind::kDatagram;
+  /// Application message tag of `body` (sockets::Message::type), carried
+  /// beside it so the receiver rebuilds the message without a box. Sits in
+  /// the padding after `kind`.
+  std::uint32_t body_type = 0;
   std::uint64_t conn = 0;  // connection id (stream transport)
   std::uint64_t seq = 0;   // sequence / cumulative-ack number
 
   /// Application payload, if any. Stored type-erased; the receiving layer
-  /// knows the concrete type from its protocol context.
+  /// knows the concrete type from its protocol context (for socket
+  /// messages, `body_type`; the payload size is wire_size minus the
+  /// transport header).
   std::shared_ptr<const void> body;
 
   /// Invoked at the destination host once the packet has traversed the

@@ -9,6 +9,21 @@
 
 namespace p2plab::sockets {
 
+namespace {
+
+/// Rebuild the message a data segment or datagram carries: the body and
+/// its tag ride in the packet, and the payload size is what the wire size
+/// holds beyond the `header` bytes the sender added.
+Message take_message(net::Packet& packet, std::uint64_t header) {
+  const std::uint64_t wire = packet.wire_size.count_bytes();
+  P2PLAB_ASSERT(wire >= header);
+  return Message{.type = packet.body_type,
+                 .size = DataSize::bytes(wire - header),
+                 .body = std::move(packet.body)};
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------- manager
 
 SocketManager::SocketManager(net::Network& network,
@@ -218,11 +233,6 @@ void StreamSocket::abort_for_crash() {
   // fire (there is no process left to observe it) and nothing goes on the
   // wire.
   if (state_ == State::kClosed) return;
-  on_message_ = nullptr;
-  on_close_ = nullptr;
-  on_writable_ = nullptr;
-  on_connected_ = nullptr;
-  on_connect_fail_ = nullptr;
   teardown();
 }
 
@@ -231,6 +241,11 @@ void StreamSocket::teardown() {
   // after every member access below.
   StreamSocketPtr keep = std::move(self_ref_);
   state_ = State::kClosed;
+  on_message_ = nullptr;
+  on_close_ = nullptr;
+  on_writable_ = nullptr;
+  on_connected_ = nullptr;
+  on_connect_fail_ = nullptr;
   if (timer_armed_) {
     mgr_.sim().cancel(timer_event_);
     timer_armed_ = false;
@@ -291,7 +306,8 @@ void StreamSocket::transmit_data(std::uint64_t seq, const Message& message) {
   packet.kind = net::PacketKind::kData;
   packet.conn = conn_id_;
   packet.seq = seq;
-  packet.body = std::make_shared<Message>(message);
+  packet.body_type = message.type;
+  packet.body = message.body;
   packet.socket_demux = true;
   mgr_.network().send(std::move(packet));
 }
@@ -364,8 +380,7 @@ void StreamSocket::handle_packet(net::Packet&& packet) {
         // Handshake not complete on our side yet: park the payload until
         // the SYN-ACK arrives (see the kSynAck case).
         if (reorder_.size() < mgr_.stream_config().max_reorder_buffer) {
-          reorder_.emplace(packet.seq,
-                           *static_cast<const Message*>(packet.body.get()));
+          reorder_.emplace(packet.seq, take_message(packet, kHeaderBytes));
         }
         break;
       }
@@ -378,11 +393,9 @@ void StreamSocket::handle_packet(net::Packet&& packet) {
       break;
     case net::PacketKind::kFin: {
       mgr_.metrics().closes.inc();
+      auto handler = std::move(on_close_);
       teardown();
-      if (on_close_) {
-        auto handler = on_close_;
-        handler();
-      }
+      if (handler) (*handler)();
       break;
     }
     case net::PacketKind::kRst: {
@@ -393,7 +406,6 @@ void StreamSocket::handle_packet(net::Packet&& packet) {
         // ECONNREFUSED: no listener at the remote port.
         mgr_.metrics().connects_failed.inc();
         auto fail = std::move(on_connect_fail_);
-        on_connected_ = nullptr;
         teardown();
         if (fail) fail();
         break;
@@ -401,11 +413,9 @@ void StreamSocket::handle_packet(net::Packet&& packet) {
       // ECONNRESET: the remote end is gone; surface it to the owner
       // immediately instead of grinding through RTO exhaustion.
       mgr_.metrics().resets.inc();
+      auto handler = std::move(on_close_);
       teardown();
-      if (on_close_) {
-        auto handler = on_close_;
-        handler();
-      }
+      if (handler) (*handler)();
       break;
     }
     case net::PacketKind::kSyn:
@@ -429,38 +439,39 @@ void StreamSocket::on_data(net::Packet&& packet) {
   }
   if (seq > expected_seq_) {
     if (reorder_.size() < mgr_.stream_config().max_reorder_buffer) {
-      reorder_.emplace(seq, *static_cast<const Message*>(packet.body.get()));
+      reorder_.emplace(seq, take_message(packet, kHeaderBytes));
     }
     send_ack();  // dup-ack carrying the hole
     return;
   }
-  Message message = *static_cast<const Message*>(packet.body.get());
+  Message message = take_message(packet, kHeaderBytes);
   ++expected_seq_;
   bytes_received_ += message.size.count_bytes();
   mgr_.metrics().msgs_received.inc();
   mgr_.metrics().bytes_received.inc(message.size.count_bytes());
   if (on_message_) {
-    // Invoke through a copy: the handler may replace or clear itself
+    // Invoke through a shared copy: the handler may replace or clear itself
     // (e.g. an application tearing the connection down mid-dispatch).
     auto handler = on_message_;
-    handler(std::move(message));
+    (*handler)(std::move(message));
   }
   deliver_in_order();
   send_ack();
 }
 
 void StreamSocket::deliver_in_order() {
-  auto it = reorder_.begin();
-  while (it != reorder_.end() && it->first == expected_seq_) {
-    Message message = std::move(it->second);
-    it = reorder_.erase(it);
+  // Re-read the front each round: a handler that closes the socket
+  // empties reorder_ under us.
+  while (!reorder_.empty() && reorder_.begin()->first == expected_seq_) {
+    Message message = std::move(reorder_.begin()->second);
+    reorder_.erase(reorder_.begin());
     ++expected_seq_;
     bytes_received_ += message.size.count_bytes();
     mgr_.metrics().msgs_received.inc();
     mgr_.metrics().bytes_received.inc(message.size.count_bytes());
     if (on_message_) {
       auto handler = on_message_;
-      handler(std::move(message));
+      (*handler)(std::move(message));
     }
   }
 }
@@ -577,7 +588,7 @@ void StreamSocket::on_ack(std::uint64_t cumulative) {
   }
   if (on_writable_ && unsent_bytes() <= writable_watermark_) {
     auto handler = on_writable_;  // may replace itself
-    handler();
+    (*handler)();
   }
 }
 
@@ -697,11 +708,9 @@ void StreamSocket::timer_fired() {
   if (++consecutive_timeouts_ > mgr_.stream_config().max_retransmit_timeouts) {
     // The peer is unreachable: abort like ETIMEDOUT.
     mgr_.metrics().aborts.inc();
+    auto handler = std::move(on_close_);
     teardown();
-    if (on_close_) {
-      auto handler = on_close_;
-      handler();
-    }
+    if (handler) (*handler)();
     return;
   }
   ++backoff_;
@@ -712,7 +721,8 @@ void StreamSocket::timer_fired() {
     return;
   }
   // kFlow go-back-N: retransmit the whole window.
-  for (InFlight& entry : inflight_) {
+  for (std::size_t i = 0; i < inflight_.size(); ++i) {
+    InFlight& entry = inflight_[i];
     entry.sent_at = now;
     entry.retransmitted = true;
     mgr_.metrics().retransmits.inc();
@@ -845,6 +855,7 @@ DatagramSocket::~DatagramSocket() {
 void DatagramSocket::close() {
   if (!open_) return;
   open_ = false;
+  handler_ = nullptr;
   mgr_.unbind_endpoint(local_ip_, local_port_, Proto::kUdp);
 }
 
@@ -862,7 +873,8 @@ void DatagramSocket::send_to(Ipv4Addr remote, std::uint16_t remote_port,
       DataSize::bytes(message.size.count_bytes() + kUdpHeaderBytes);
   packet.flow = flow_;
   packet.kind = net::PacketKind::kDatagram;
-  packet.body = std::make_shared<Message>(std::move(message));
+  packet.body_type = message.type;
+  packet.body = std::move(message.body);
   packet.socket_demux = true;
   mgr_.network().send(std::move(packet));
 }
@@ -871,9 +883,9 @@ void DatagramSocket::handle_packet(net::Packet&& packet) {
   if (!open_) return;
   ++received_;
   if (!handler_) return;
-  Message message = *static_cast<const Message*>(packet.body.get());
   auto handler = handler_;  // may replace itself mid-dispatch
-  handler(std::move(message), packet.src, packet.src_port);
+  (*handler)(take_message(packet, kUdpHeaderBytes), packet.src,
+             packet.src_port);
 }
 
 ListenerPtr SocketApi::listen(std::uint16_t port,

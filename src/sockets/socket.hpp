@@ -27,13 +27,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <unordered_map>
 
 #include "common/ipv4.hpp"
+#include "common/ring_queue.hpp"
 #include "metrics/registry.hpp"
 #include "net/network.hpp"
 #include "net/packet.hpp"
@@ -50,6 +50,19 @@ class SocketManager;
 using StreamSocketPtr = std::shared_ptr<StreamSocket>;
 using ListenerPtr = std::shared_ptr<Listener>;
 using DatagramSocketPtr = std::shared_ptr<DatagramSocket>;
+
+/// Application handlers are held behind a shared pointer: a dispatch copies
+/// a refcount instead of the callable (whose captures rarely fit
+/// std::function's small buffer), and the copy keeps the handler alive
+/// while it replaces or clears itself mid-call. Setters allocate once.
+template <typename Fn>
+using SharedHandler = std::shared_ptr<const Fn>;
+
+template <typename Fn>
+SharedHandler<Fn> share_handler(Fn handler) {
+  if (!handler) return nullptr;
+  return std::make_shared<const Fn>(std::move(handler));
+}
 
 /// Transport protocol namespaces share the address space but not ports.
 enum class Proto : std::uint8_t { kTcp = 0, kUdp = 1 };
@@ -183,8 +196,10 @@ class StreamSocket final : public SocketManager::Endpoint,
   /// Queue a message for reliable in-order delivery. No-op after close.
   void send(Message message);
 
-  void on_message(MessageHandler handler) { on_message_ = std::move(handler); }
-  void on_close(VoidHandler handler) { on_close_ = std::move(handler); }
+  void on_message(MessageHandler handler) {
+    on_message_ = share_handler(std::move(handler));
+  }
+  void on_close(VoidHandler handler) { on_close_ = share_handler(std::move(handler)); }
 
   /// Send FIN and tear down. The remote's on_close fires when (if) the FIN
   /// arrives; local handlers do not fire.
@@ -208,7 +223,7 @@ class StreamSocket final : public SocketManager::Endpoint,
   /// to or below `watermark` (a poor man's EPOLLOUT).
   void on_writable(DataSize watermark, VoidHandler handler) {
     writable_watermark_ = watermark.count_bytes();
-    on_writable_ = std::move(handler);
+    on_writable_ = share_handler(std::move(handler));
   }
   /// Smoothed RTT estimate; zero until the first measurement.
   Duration srtt() const { return Duration::seconds(srtt_s_); }
@@ -253,7 +268,10 @@ class StreamSocket final : public SocketManager::Endpoint,
   void timer_fired();
   Duration rto() const;
   void observe_rtt(Duration sample);
-  void teardown();  // unregister + mark closed (no FIN)
+  /// Unregister, mark closed and drop every handler (no FIN). Handlers
+  /// often capture their own socket, so clearing them is what breaks the
+  /// reference cycle; close notifiers take on_close_ out beforehand.
+  void teardown();
 
   SocketManager& mgr_;
   net::Host& host_;
@@ -279,13 +297,15 @@ class StreamSocket final : public SocketManager::Endpoint,
     SimTime first_sent_at;  // original transmission (Karn-clamp fallback)
     bool retransmitted = false;
   };
-  std::deque<Message> pending_;
+  // Ring buffers, not deques: a connection cycling at its window depth
+  // sends, acks and retransmits without touching the allocator.
+  RingQueue<Message> pending_;
   std::uint64_t pending_bytes_ = 0;
-  std::deque<InFlight> inflight_;
+  RingQueue<InFlight> inflight_;
   std::uint64_t inflight_bytes_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t writable_watermark_ = 0;
-  VoidHandler on_writable_;
+  SharedHandler<VoidHandler> on_writable_;
 
   // Congestion control (kTcp; idle under kFlow). cwnd_/ssthresh_ are
   // byte-counted; ca_credit_ accumulates acked bytes in congestion
@@ -331,8 +351,8 @@ class StreamSocket final : public SocketManager::Endpoint,
   std::function<void(StreamSocketPtr)> on_connected_;
   VoidHandler on_connect_fail_;
 
-  MessageHandler on_message_;
-  VoidHandler on_close_;
+  SharedHandler<MessageHandler> on_message_;
+  SharedHandler<VoidHandler> on_close_;
   /// Installed by the owner (listener/manager) to drop demux entries.
   VoidHandler on_teardown_;
   /// Client sockets keep themselves alive from connect() until the
@@ -394,7 +414,10 @@ class DatagramSocket final
   ~DatagramSocket() override;
 
   void send_to(Ipv4Addr remote, std::uint16_t remote_port, Message message);
-  void on_message(DatagramHandler handler) { handler_ = std::move(handler); }
+  void on_message(DatagramHandler handler) {
+    handler_ = share_handler(std::move(handler));
+  }
+  /// Unbind and drop the handler; a closed socket dispatches nothing.
   void close();
 
   Ipv4Addr local_ip() const { return local_ip_; }
@@ -416,7 +439,7 @@ class DatagramSocket final
   std::uint16_t local_port_;
   bool open_ = true;
   std::uint64_t flow_;
-  DatagramHandler handler_;
+  SharedHandler<DatagramHandler> handler_;
   std::uint64_t sent_ = 0;
   std::uint64_t received_ = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace p2plab::ipfw {
@@ -16,6 +17,21 @@ class PipeTest : public ::testing::Test {
     return Pipe::Segment{
         .size = size, .flow = flow,
         .on_exit = [this, exits] { exits->push_back(sim.now()); }};
+  }
+
+  /// (flow, per-flow index) in service-completion order.
+  using Order = std::vector<std::pair<FlowId, int>>;
+
+  Pipe::Segment tagged(std::uint64_t bytes, FlowId flow, int index,
+                       Order* order) {
+    return Pipe::Segment{
+        .size = DataSize::bytes(bytes), .flow = flow,
+        .on_exit = [order, flow, index] { order->emplace_back(flow, index); }};
+  }
+
+  /// 8 Mb/s: one byte serializes in exactly one microsecond.
+  static PipeConfig byte_per_us() {
+    return {.bandwidth = Bandwidth::mbps(8), .queue_limit = DataSize::mib(10)};
   }
 };
 
@@ -170,6 +186,101 @@ TEST_F(PipeTest, ManyFlowsAllComplete) {
   }
   sim.run();
   EXPECT_EQ(exits, 200);
+}
+
+TEST_F(PipeTest, DrrServiceOrderMatchesHandComputedSequence) {
+  // Flow 9 takes the idle server; four flows queue behind it and fill the
+  // initial four-slot ring. Quantum 4096 B. Hand trace (deficits after
+  // each visit, "rot" = rotate to the tail):
+  //   1: 1 0->4096 rot, 2 0->4096 rot, 3 0->4096 rot, 4 0->4096 rot
+  //      (every rotation on a full ring), 1 serves 3000 (1096 left)
+  //   2: 1 ->5192 rot, 2 ->8192 rot, 3 serves 1000 and empties at the head
+  //   3: 4 serves 2000 and empties at the head
+  //   4: 1 serves 3000 (2192 left)
+  //   5: 1 ->6288 rot, 2 serves 5000 (3192 left)
+  //   6: 2 serves 1000 and empties
+  //   7: 1 serves 3000 and empties
+  Pipe pipe(sim, byte_per_us(), rng);
+  Order order;
+  pipe.enqueue(tagged(1000, 9, 0, &order));
+  pipe.enqueue(tagged(3000, 1, 0, &order));
+  pipe.enqueue(tagged(5000, 2, 0, &order));
+  pipe.enqueue(tagged(1000, 3, 0, &order));
+  pipe.enqueue(tagged(2000, 4, 0, &order));
+  pipe.enqueue(tagged(3000, 1, 1, &order));
+  pipe.enqueue(tagged(1000, 2, 1, &order));
+  pipe.enqueue(tagged(3000, 1, 2, &order));
+  sim.run();
+  EXPECT_EQ(order, (Order{{9, 0}, {1, 0}, {3, 0}, {4, 0}, {1, 1}, {2, 0},
+                          {2, 1}, {1, 2}}));
+}
+
+TEST_F(PipeTest, ReturningFlowStartsWithZeroDeficit) {
+  // Flow 1 is served with 3096 B of deficit left and empties, forfeiting
+  // it. It returns (3000 B) behind flow 2 (5000 B, deficit 4096). Had it
+  // kept its deficit it would go first; with a fresh zero deficit flow 2
+  // reaches 8192 before flow 1 reaches 4096.
+  Pipe pipe(sim, byte_per_us(), rng);
+  Order order;
+  pipe.enqueue(tagged(1000, 9, 0, &order));  // service [0, 1 ms)
+  pipe.enqueue(tagged(1000, 1, 0, &order));  // service [1, 2 ms)
+  pipe.enqueue(tagged(5000, 2, 0, &order));
+  sim.schedule_at(SimTime::zero() + Duration::us(1500), [&] {
+    pipe.enqueue(tagged(3000, 1, 1, &order));
+  });
+  sim.run();
+  EXPECT_EQ(order, (Order{{9, 0}, {1, 0}, {2, 0}, {1, 1}}));
+}
+
+TEST_F(PipeTest, RingAndSlabGrowthKeepOrder) {
+  // Three flows of two 4096 B segments start the ring; while flow 2's
+  // first segment is in service (the ring head is mid-buffer), 256 more
+  // flows arrive and grow the ring from 4 to 512 slots and the slab to
+  // ~500 nodes. With segment == quantum every visit serves exactly one
+  // segment, so the hand-computed order is round robin: flows 1..3
+  // finish their first DRR round, then the newcomers go round by round.
+  constexpr std::uint64_t kSeg = 4096;
+  constexpr FlowId kLate = 256;
+  Pipe pipe(sim, byte_per_us(), rng);
+  Order order;
+  pipe.enqueue(tagged(kSeg, 0, 0, &order));  // service [0, 4.096 ms)
+  for (int i = 0; i < 2; ++i) {
+    for (FlowId f = 1; f <= 3; ++f) pipe.enqueue(tagged(kSeg, f, i, &order));
+  }
+  // 1a serves [4.096, 8.192), 2a serves [8.192, 12.288).
+  sim.schedule_at(SimTime::zero() + Duration::ms(10), [&] {
+    for (int i = 0; i < 2; ++i) {
+      for (FlowId f = 4; f < 4 + kLate; ++f) {
+        pipe.enqueue(tagged(kSeg, f, i, &order));
+      }
+    }
+  });
+  sim.run();
+  Order expected{{0, 0}, {1, 0}, {2, 0}, {3, 0}, {1, 1}, {2, 1}, {3, 1}};
+  for (int i = 0; i < 2; ++i) {
+    for (FlowId f = 4; f < 4 + kLate; ++f) expected.emplace_back(f, i);
+  }
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(pipe.queued(), DataSize::zero());
+  EXPECT_EQ(pipe.stats().segments_out, expected.size());
+}
+
+TEST_F(PipeTest, SlabRecyclesAcrossBusyPeriods) {
+  // Many short busy periods on one pipe reuse the same slab nodes; the
+  // per-flow order holds across every refill.
+  Pipe pipe(sim, byte_per_us(), rng);
+  Order order;
+  int next[3] = {0, 0, 0};
+  for (int burst = 0; burst < 50; ++burst) {
+    for (int k = 0; k < 6; ++k) {
+      const FlowId f = static_cast<FlowId>(k % 3);
+      pipe.enqueue(tagged(500 + 700 * f, f, next[f]++, &order));
+    }
+    sim.run();
+  }
+  ASSERT_EQ(order.size(), 300u);
+  int seen[3] = {0, 0, 0};
+  for (const auto& [flow, index] : order) EXPECT_EQ(index, seen[flow]++);
 }
 
 }  // namespace
