@@ -286,8 +286,7 @@ int run(int argc, char** argv) {
       bench::env_size("P2PLAB_HOTPATH_EVENTS", 4'000'000);
   const std::uint64_t packet_total =
       bench::env_size("P2PLAB_HOTPATH_PACKETS", 400'000);
-  const std::uint64_t stream_total =
-      bench::env_size("P2PLAB_HOTPATH_MESSAGES", 200'000);
+  const std::uint64_t stream_total = packet_total / 2;
 
   // The profiler always exists (one ring, one phase-level sample per
   // measured window — two clock reads outside the hot loops); `profiling`

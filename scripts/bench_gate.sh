@@ -15,12 +15,8 @@
 # usage: scripts/bench_gate.sh <path-to-hotpath_alloc> [baseline-json]
 #        scripts/bench_gate.sh --scaling <bench-json>...
 # env:   P2PLAB_BENCH_GATE_THRESHOLD_PCT  throughput slack  (default 20)
-#        P2PLAB_BENCH_GATE_MAX_ALLOCS     max event and packet allocs/event
-#                                         (default 0.01; both measure 0)
-#        P2PLAB_BENCH_GATE_MAX_STREAM_ALLOCS
-#                                         max stream allocs/event (default
-#                                         0.001; measured 0 — deque-backed
-#                                         socket queues read 0.021)
+#        P2PLAB_BENCH_GATE_MAX_ALLOCS     max event, packet and stream
+#                                         allocs/event (default 0.01)
 #        P2PLAB_BENCH_GATE_MAX_FALLBACKS  max heap fallbacks (default 0)
 #        P2PLAB_RESULTS_DIR               where BENCH_hotpath.json lands
 #                                         (default: a temp dir)
@@ -113,7 +109,6 @@ BENCH="${1:?usage: bench_gate.sh <path-to-hotpath_alloc> [baseline-json]}"
 BASELINE="${2:-$(dirname "$0")/../bench/BASELINE_hotpath.json}"
 THRESHOLD_PCT="${P2PLAB_BENCH_GATE_THRESHOLD_PCT:-20}"
 MAX_ALLOCS="${P2PLAB_BENCH_GATE_MAX_ALLOCS:-0.01}"
-MAX_STREAM_ALLOCS="${P2PLAB_BENCH_GATE_MAX_STREAM_ALLOCS:-0.001}"
 MAX_FALLBACKS="${P2PLAB_BENCH_GATE_MAX_FALLBACKS:-0}"
 RESULTS_DIR="${P2PLAB_RESULTS_DIR:-$(mktemp -d)}"
 
@@ -160,7 +155,7 @@ check_throughput events_per_second
 check_throughput packets_per_second
 check_max event_allocs_per_event "$MAX_ALLOCS"
 check_max packet_allocs_per_event "$MAX_ALLOCS"
-check_max stream_allocs_per_event "$MAX_STREAM_ALLOCS"
+check_max stream_allocs_per_event "$MAX_ALLOCS"
 check_max callback_heap_fallbacks "$MAX_FALLBACKS"
 
 exit $status
