@@ -1,16 +1,11 @@
 // Shared helpers for the figure harnesses.
 #pragma once
 
-#include <sys/resource.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <utility>
-#include <vector>
 
 namespace p2plab::bench {
 
@@ -96,14 +91,6 @@ inline std::size_t shards(int argc, char** argv) {
   return result;
 }
 
-/// Peak resident set size of this process, in bytes (ru_maxrss is KiB on
-/// Linux).
-inline std::size_t peak_rss_bytes() {
-  rusage usage{};
-  getrusage(RUSAGE_SELF, &usage);
-  return static_cast<std::size_t>(usage.ru_maxrss) * 1024;
-}
-
 /// Wall-clock stopwatch, started at construction.
 class WallTimer {
  public:
@@ -117,33 +104,6 @@ class WallTimer {
   std::chrono::steady_clock::time_point start_ =
       std::chrono::steady_clock::now();
 };
-
-/// Machine-readable run summary: a flat JSON object written to
-/// $P2PLAB_RESULTS_DIR/<name>.json (and echoed to stdout as a comment).
-/// Values print with up to 15 significant digits, so event counts up to
-/// 2^53 survive the double round-trip.
-inline void write_bench_json(
-    const std::string& name,
-    const std::vector<std::pair<std::string, double>>& fields) {
-  std::string json = "{";
-  char buffer[64];
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    std::snprintf(buffer, sizeof(buffer), "%.15g", fields[i].second);
-    json += (i == 0 ? "\"" : ", \"") + fields[i].first + "\": " + buffer;
-  }
-  json += "}";
-  std::printf("# %s %s\n", name.c_str(), json.c_str());
-  if (const char* dir = std::getenv("P2PLAB_RESULTS_DIR")) {
-    const std::string path = std::string(dir) + "/" + name + ".json";
-    if (std::FILE* f = std::fopen(path.c_str(), "w")) {
-      std::fprintf(f, "%s\n", json.c_str());
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "# P2PLAB_RESULTS_DIR=%s is not writable; %s "
-                           "only on stdout\n", dir, name.c_str());
-    }
-  }
-}
 
 inline void banner(const char* figure, const std::string& description) {
   std::printf("# === %s: %s ===\n", figure, description.c_str());

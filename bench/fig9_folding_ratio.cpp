@@ -4,7 +4,8 @@
 // ("results are nearly identical ... even with 80 virtual nodes on each
 // physical node").
 //
-// Each fold is one catalog::fig9_fold spec run through the
+// Each fold is scenarios/fig8.scn on clients/fold + 1 physical nodes (the
+// tracker and seeders ride along), without its outputs, run through the
 // ExperimentRunner; this harness only interposes the cross-fold pieces —
 // one flight recorder and one health timeline spanning all five runs
 // (rows tagged by the label column), the merged per-fold byte curves, and
@@ -16,6 +17,7 @@
 #include <cstdio>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_env.hpp"
@@ -23,14 +25,24 @@
 #include "metrics/health.hpp"
 #include "metrics/recorder.hpp"
 #include "metrics/trace.hpp"
-#include "scenario/catalog.hpp"
+#include "scenario/parser.hpp"
 #include "scenario/runner.hpp"
 
 using namespace p2plab;
 
 int main(int argc, char** argv) {
   bench::banner("Figure 9", "folding ratio: 1/10/20/40/80 vnodes per node");
-  const std::size_t clients = bench::env_size("P2PLAB_FIG9_CLIENTS", 160);
+  scenario::ParseResult fig8 =
+      scenario::parse_scenario_file(P2PLAB_SCENARIO_DIR "/fig8.scn");
+  if (!fig8.spec) {
+    std::fprintf(stderr, "fig8.scn: %s\n", fig8.error.c_str());
+    return 2;
+  }
+  scenario::ScenarioSpec fig8_spec = std::move(*fig8.spec);
+  fig8_spec.outputs = {};  // the folds write nothing; this harness aggregates
+  fig8_spec.swarm.clients =
+      bench::env_size("P2PLAB_FIG9_CLIENTS", fig8_spec.swarm.clients);
+  const std::size_t clients = fig8_spec.swarm.clients;
   const std::size_t shards = bench::shards(argc, argv);
   const bool profile = bench::profile_enabled(argc, argv);
   const std::size_t foldings[] = {1, 10, 20, 40, 80};
@@ -53,7 +65,9 @@ int main(int argc, char** argv) {
   const std::size_t last_fold = foldings[std::size(foldings) - 1];
   for (const std::size_t fold : foldings) {
     bench::WallTimer fold_timer;
-    scenario::ScenarioSpec spec = scenario::catalog::fig9_fold(clients, fold);
+    scenario::ScenarioSpec spec = fig8_spec;
+    // The paper's 160/16/8/4/2 deployments of the clients.
+    spec.engine.physical_nodes = clients / fold + 1;
     spec.engine.shards = shards;
     spec.engine.profile = profile;
     scenario::ExperimentRunner runner(std::move(spec));

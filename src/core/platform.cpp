@@ -33,20 +33,16 @@ Platform::Platform(const topology::Topology& topo, PlatformConfig config)
                    "(degraded_parallelism)\n",
                    online, k);
     }
-    // Pin by default only when every worker can own a core; spin at the
-    // barrier under the same condition (spinning on a time-sliced core
-    // steals cycles from the very thread it waits for).
+    // Pin only when every worker can own a core, and spin at the barrier
+    // under the same condition (spinning on a time-sliced core steals
+    // cycles from the very thread it waits for).
     const bool cores_for_all = online >= static_cast<int>(k);
-    engine_->set_pin_workers(config_.pin_workers.value_or(cores_for_all));
+    engine_->set_pin_workers(cores_for_all);
     engine_->set_barrier_mode(config_.barrier.value_or(
         cores_for_all ? engine::BarrierMode::kSpin
                       : engine::BarrierMode::kBlock));
-    engine_->set_window_mode(config_.window);
-    shard_of_pnode_ =
-        config_.partition == engine::PartitionMode::kTopo
-            ? engine::topo_partition(topo_, config_.physical_nodes, k,
-                                     config_.seed)
-            : engine::stripe_partition(config_.physical_nodes, k);
+    shard_of_pnode_ = engine::topo_partition(topo_, config_.physical_nodes, k,
+                                             config_.seed);
     for (std::size_t s = 0; s < k; ++s) {
       auto shard = std::make_unique<Shard>();
       shard->network = std::make_unique<net::Network>(shard->sim, rng_.fork(1),

@@ -9,12 +9,11 @@
 // application. A ping probe reproduces the paper's latency measurements.
 //
 // With PlatformConfig::shards > 0 the platform runs on the parallel engine
-// (src/engine): physical nodes are partitioned across shards — by the
-// topology-aware zone-affinity partitioner by default, or plain contiguous
-// striping (engine/partition.hpp) — one Simulation + Network +
-// SocketManager per shard, driven by worker threads under conservative
-// synchronization. The partition is invisible to results: a K-shard run is
-// bit-identical to the 1-shard engine run under either partitioner (see
+// (src/engine): physical nodes are partitioned across shards by the
+// topology-aware zone-affinity partitioner (engine/partition.hpp) — one
+// Simulation + Network + SocketManager per shard, driven by worker threads
+// under conservative synchronization. The partition is invisible to
+// results: a K-shard run is bit-identical to the 1-shard engine run (see
 // engine/engine.hpp and DESIGN.md §9). shards == 0 keeps the classic
 // single-threaded path with zero engine involvement.
 #pragma once
@@ -64,22 +63,13 @@ struct PlatformConfig {
   /// Parallel engine shard count; 0 = classic single-threaded mode.
   /// Clamped to physical_nodes (a shard owns whole physical nodes).
   std::size_t shards = 0;
-  /// Pin each shard worker to one online CPU. Unset = automatic: pin when
-  /// the process affinity mask holds at least as many cores as shards (a
-  /// degraded box gains nothing from pinning everything to one core).
-  std::optional<bool> pin_workers;
-  /// BSP barrier wait mode. Unset = automatic: spin when every worker can
-  /// own a core (same condition as pinning), block otherwise — spinning on
-  /// a time-sliced core only steals cycles from the thread it waits for.
+  /// Test seam: force the BSP barrier wait mode. Unset = automatic, like
+  /// worker pinning: when the process affinity mask holds at least as many
+  /// cores as shards, workers are pinned and spin at the barrier; otherwise
+  /// they float and block (spinning on a time-sliced core only steals
+  /// cycles from the thread it waits for). Only tests set this, so the
+  /// spin-vs-block replay test can force both strategies on any box.
   std::optional<engine::BarrierMode> barrier;
-  /// BSP window sizing (engine/engine.hpp). kAdaptive changes traces (the
-  /// documented stamp-floor staleness) but stays bit-identical across
-  /// shard counts.
-  engine::WindowMode window = engine::WindowMode::kFixed;
-  /// pnode -> shard assignment policy (engine/partition.hpp). Either mode
-  /// yields bit-identical results; kTopo co-locates zone neighborhoods to
-  /// cut cross-shard handoff traffic and per-shard event imbalance.
-  engine::PartitionMode partition = engine::PartitionMode::kTopo;
 };
 
 class Platform {

@@ -41,11 +41,6 @@ void Engine::set_barrier_mode(BarrierMode mode) {
   barrier_mode_ = mode;
 }
 
-void Engine::set_window_mode(WindowMode mode) {
-  P2PLAB_ASSERT_MSG(!running_, "cannot change the window mode mid-run");
-  window_mode_ = mode;
-}
-
 void Engine::set_profiler(profile::Profiler* profiler) {
   P2PLAB_ASSERT_MSG(!running_, "cannot attach a profiler mid-run");
   P2PLAB_ASSERT_MSG(profiler == nullptr ||
@@ -91,13 +86,6 @@ bool Engine::push(std::size_t src_host, std::uint64_t seq, SimTime stamp,
   // The source address was routable on its shard moments ago, so it is
   // mapped; the lookup names the outbox row this worker exclusively owns.
   const std::size_t src_shard = shard_of_addr_.at(packet.src.to_u32());
-  if (window_mode_ == WindowMode::kAdaptive && stamp < window_end_) {
-    // A grown window out-ran the lookahead grid: floor the stamp to the
-    // window end. window_end_ is a global quantity, so the floored stamp
-    // is identical for every shard count — bounded staleness of at most
-    // (window_growth_ - 1) * L, paid only after sparse-traffic windows.
-    stamp = window_end_;
-  }
   P2PLAB_ASSERT_MSG(stamp >= window_end_,
                     "lookahead violated: handoff stamp inside the window");
   outbox_[write_parity_][src_shard][dst_it->second].push_back(
@@ -318,17 +306,11 @@ void Engine::coordinate() {
     const auto t = sim->next_event_time();
     if (t.has_value()) consider(*t);
   }
-  // Handoffs pushed in the window that just finished: the adaptive window
-  // policy keys on this count, which is partition-independent (every
-  // inter-host packet takes the handoff path).
-  std::uint64_t fresh_handoffs = 0;
-  for (std::size_t parity = 0; parity < 2; ++parity) {
+  for (const auto& parity : outbox_) {
     for (std::size_t s = 0; s < k; ++s) {
       for (std::size_t d = 0; d < k; ++d) {
-        const auto& box = outbox_[parity][s][d];
-        if (box.empty()) continue;
-        consider(box.front().stamp);
-        if (parity == write_parity_) fresh_handoffs += box.size();
+        const auto& box = parity[s][d];
+        if (!box.empty()) consider(box.front().stamp);
       }
     }
   }
@@ -354,32 +336,15 @@ void Engine::coordinate() {
     return;
   }
 
-  // 3. Next window. kFixed: fast-forward empty regions of the fixed L-grid
-  //    straight to the window [wL, (w+1)L) holding the earliest event —
-  //    every event executed in one satisfies t >= wL, so every handoff
-  //    stamp is >= wL + L >= window end, the push() contract. kAdaptive:
-  //    anchor at gmin and grow up to kMaxWindowGrowth * L while handoff
-  //    traffic is sparse (fewer barriers), shrinking back on merge
-  //    pressure; stamps that land inside a grown window are floored by
-  //    push(). Both policies derive from global quantities only, keeping
-  //    the window sequence identical for every shard count.
+  // 3. Next window: fast-forward empty regions of the fixed L-grid straight
+  //    to the window [wL, (w+1)L) holding the earliest event. Every event
+  //    executed in it satisfies t >= wL, so every handoff stamp is
+  //    >= wL + L >= window end, the push() contract. The grid and gmin are
+  //    global quantities, so the window sequence is identical for every
+  //    shard count.
   const std::int64_t l_ns = lookahead_.count_ns();
-  if (window_mode_ == WindowMode::kAdaptive) {
-    if (fresh_handoffs == 0) {
-      window_growth_ = std::min(window_growth_ * 2, kMaxWindowGrowth);
-    } else if (fresh_handoffs > kMergePressure) {
-      window_growth_ = 1;
-    } else {
-      window_growth_ = std::max(window_growth_ / 2, 1u);
-    }
-    window_end_ = std::min(
-        SimTime::from_ns(gmin->count_ns() +
-                         static_cast<std::int64_t>(window_growth_) * l_ns),
-        deadline_);
-  } else {
-    const std::int64_t w = gmin->count_ns() / l_ns;
-    window_end_ = std::min(SimTime::from_ns((w + 1) * l_ns), deadline_);
-  }
+  const std::int64_t w = gmin->count_ns() / l_ns;
+  window_end_ = std::min(SimTime::from_ns((w + 1) * l_ns), deadline_);
   cursor_ = window_end_;
   ++window_index_;
   // Flip the buffers: the window that starts now merges what the previous

@@ -33,8 +33,7 @@
 // to the 1-shard engine run because every source of ordering is keyed on
 // shard-independent values:
 //   * the window schedule is derived only from global quantities (the fixed
-//     L-grid, or in adaptive mode the global minimum pending-event time and
-//     the global handoff count of the finished window),
+//     L-grid and the global minimum pending-event time),
 //   * all inter-host packets — even same-shard ones — take the handoff
 //     path, so the event sequence cannot depend on the partition,
 //   * merged ingress is ordered by (stamp, source host global index, per-
@@ -72,17 +71,6 @@ enum class BarrierMode {
   kBlock,  // mutex + condition variable: workers sleep (kind to shared boxes)
   kSpin,   // bounded spin-then-yield on atomics: lowest latency when every
            // worker owns a core
-};
-
-/// How the barrier coordinator sizes the next BSP window.
-enum class WindowMode {
-  kFixed,     // fixed L-grid windows — the byte-golden default
-  kAdaptive,  // gmin-anchored windows that grow up to kMaxWindowGrowth * L
-              // while cross-shard traffic is sparse; stamps of handoffs
-              // landing inside a grown window are floored to the window end
-              // (bounded staleness). Still bit-identical across shard
-              // counts: growth and floors derive only from global simulated
-              // state — but traces differ from kFixed once a floor binds.
 };
 
 /// Pause-instruction hint for spin loops.
@@ -207,10 +195,6 @@ class Engine final : public net::FabricHandoff {
   void set_barrier_mode(BarrierMode mode);
   BarrierMode barrier_mode() const { return barrier_mode_; }
 
-  /// Window sizing policy (see WindowMode). Not changeable mid-run.
-  void set_window_mode(WindowMode mode);
-  WindowMode window_mode() const { return window_mode_; }
-
   /// Declare that `addr` lives on `shard`. Mappings are static: a crashed
   /// vnode's address stays mapped (withdrawal is the destination shard's
   /// business); push() returns false only for addresses never mapped.
@@ -240,16 +224,9 @@ class Engine final : public net::FabricHandoff {
 
   /// FabricHandoff: called by a shard's Network for every inter-host
   /// packet. `stamp` must land at or beyond the current window's end —
-  /// that is the lookahead contract, and it is asserted. In adaptive
-  /// window mode a stamp inside a grown window is floored to the window
-  /// end instead (the documented staleness bound).
+  /// that is the lookahead contract, and it is asserted.
   bool push(std::size_t src_host, std::uint64_t seq, SimTime stamp,
             net::Packet packet) override;
-
-  /// Largest adaptive-window growth factor (multiples of L).
-  static constexpr std::uint32_t kMaxWindowGrowth = 8;
-  /// Handoff count per window above which adaptive growth resets to 1.
-  static constexpr std::uint64_t kMergePressure = 64;
 
  private:
   struct IngressEntry {
@@ -316,11 +293,6 @@ class Engine final : public net::FabricHandoff {
 
   std::unique_ptr<PhaseBarrier> barrier_;
   BarrierMode barrier_mode_ = BarrierMode::kBlock;
-  WindowMode window_mode_ = WindowMode::kFixed;
-  /// Adaptive-mode growth factor; a deterministic function of the per-
-  /// window global handoff counts, so the window schedule stays shard-
-  /// count independent.
-  std::uint32_t window_growth_ = 1;
   /// Buffer index push() writes; flipped by the coordinator per window.
   std::size_t write_parity_ = 0;
   SimTime cursor_ = SimTime::zero();      // completed through here

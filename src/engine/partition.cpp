@@ -24,13 +24,6 @@ constexpr std::size_t kMaxRefinePnodes = 512;
 
 }  // namespace
 
-std::vector<std::size_t> stripe_partition(std::size_t pnodes,
-                                          std::size_t shards) {
-  std::vector<std::size_t> shard_of(pnodes);
-  for (std::size_t p = 0; p < pnodes; ++p) shard_of[p] = p * shards / pnodes;
-  return shard_of;
-}
-
 std::vector<std::size_t> topo_partition(const topology::Topology& topo,
                                         std::size_t pnodes, std::size_t shards,
                                         std::uint64_t seed) {

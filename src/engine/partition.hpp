@@ -15,8 +15,8 @@
 // results* by the engine's determinism design (engine.hpp): any partition
 // produces bit-identical traces; a better one only produces them faster.
 // On homogeneous single-zone topologies (fig10's auto topology) all
-// affinities tie and the greedy pass degenerates to the same contiguous
-// blocks striping produced.
+// affinities tie and the greedy pass degenerates to contiguous index
+// blocks (shard p * shards / pnodes), the same layout plain striping gives.
 #pragma once
 
 #include <cstddef>
@@ -26,17 +26,6 @@
 #include "topology/topology.hpp"
 
 namespace p2plab::engine {
-
-/// How physical nodes are assigned to engine shards
-/// (`[engine] partition topo|stripe`).
-enum class PartitionMode {
-  kTopo,    // greedy zone-affinity partitioning (the default)
-  kStripe,  // PR 3's contiguous index blocks, topology-blind
-};
-
-/// The PR 3 striping: contiguous blocks, shard p * shards / pnodes.
-std::vector<std::size_t> stripe_partition(std::size_t pnodes,
-                                          std::size_t shards);
 
 /// Greedy zone-affinity partition of `pnodes` physical nodes into `shards`
 /// balanced groups (sizes differ by at most one). Deterministic for a fixed

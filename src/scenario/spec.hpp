@@ -2,11 +2,14 @@
 //
 // A ScenarioSpec is everything one experiment needs, in one value: the
 // emulated topology, the studied workload, the fault schedule, how the
-// engine runs it and which result files it writes. Specs come from two
-// equivalent sources — the `.scn` scenario DSL (parser.hpp), which is how
-// `p2plab_run` and the shipped `scenarios/*.scn` work, and plain C++
-// construction (catalog.hpp, the bench mains) — and are executed by the
-// ExperimentRunner (runner.hpp). LiteLab (arXiv:1311.7422) and Becker et
+// engine runs it and which result files it writes. A shipped experiment
+// is defined once, as a `scenarios/*.scn` file in the scenario DSL
+// (parser.hpp): `p2plab_run` executes it, and the cross-run benches
+// (fig9, churn) parse the same file and adjust a field or two in C++.
+// Specs are executed by the ExperimentRunner (runner.hpp). Worker pinning,
+// the barrier wait and the shard partition are not spec fields: the
+// platform chooses them from the affinity mask and the topology
+// (DESIGN.md §15). LiteLab (arXiv:1311.7422) and Becker et
 // al. (arXiv:2208.05862) motivate the shape: a large-scale network
 // experiment should be cheap to vary and fully captured in one artifact.
 #pragma once
@@ -82,31 +85,6 @@ enum class TransportModel {
   kTcp,   // NewReno-style slow start / AIMD / fast retransmit
 };
 
-/// `[engine] barrier spin|block`: how shard workers wait at the BSP window
-/// barrier; maps onto engine::BarrierMode (DESIGN.md §15).
-enum class BarrierWait {
-  kSpin,   // bounded spin-then-yield — lowest latency with a core per worker
-  kBlock,  // mutex + condvar — kind to oversubscribed boxes
-};
-
-/// `[engine] window fixed|adaptive`: BSP window sizing; maps onto
-/// engine::WindowMode. Adaptive grows windows past the lookahead grid while
-/// cross-shard traffic is sparse (fewer barriers, bounded stamp staleness);
-/// results stay bit-identical across shard counts either way, but adaptive
-/// traces differ from fixed ones.
-enum class WindowPolicy {
-  kFixed,
-  kAdaptive,
-};
-
-/// `[engine] partition topo|stripe`: pnode -> shard assignment; maps onto
-/// engine::PartitionMode. Results are partition-independent; topo cuts
-/// cross-shard traffic by co-locating zone neighborhoods.
-enum class PartitionPolicy {
-  kTopo,
-  kStripe,
-};
-
 /// Parameters of the ping_sweep workload: two (or more) nodes, rules padded
 /// onto node 0's firewall in `rules_step` increments up to `rules_max`,
 /// `probes` pings per step. Classic engine only (ping bypasses sockets).
@@ -171,14 +149,6 @@ struct EngineSection {
   /// Wall-clock BSP profiler (implied by outputs.profile_trace). Virtual
   /// time and event order are bit-identical with profiling on or off.
   bool profile = false;
-  /// Pin shard workers to cores; unset = automatic (pin when the process
-  /// affinity mask holds at least `shards` online cores).
-  std::optional<bool> pin_workers;
-  /// Barrier wait strategy; unset = automatic (spin exactly when pinning
-  /// would be automatic: every worker can own a core).
-  std::optional<BarrierWait> barrier;
-  WindowPolicy window = WindowPolicy::kFixed;
-  PartitionPolicy partition = PartitionPolicy::kTopo;
 };
 
 struct OutputsSection {

@@ -1,13 +1,15 @@
-// Topology-aware partitioner and scaling-knob tests.
+// Topology-aware partitioner and barrier-mode tests.
 //
 // The partitioner's contract (engine/partition.hpp) has two halves. The
 // assignment itself must be a pure function of (topology, pnodes, shards,
 // seed): deterministic, every pnode assigned exactly once, shard sizes
-// balanced to within one. And the engine's contract makes any partition
-// invisible to results — so topo vs. stripe, spin vs. block barriers and
-// fixed vs. adaptive windows must all replay the same simulated bytes.
+// balanced to within one. And the engine's contract makes the partition
+// (EngineDeterminism.GoldenTraceIsShardCountInvariant replays K = 1, 2, 4)
+// and the barrier wait strategy invisible to results: spin and block
+// barriers must replay the same simulated bytes.
 #include <algorithm>
 #include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,15 @@
 
 namespace p2plab {
 namespace {
+
+/// Contiguous index blocks (shard p * shards / pnodes): the reference
+/// layout topo_partition must reproduce on homogeneous topologies.
+std::vector<std::size_t> stripe_partition(std::size_t pnodes,
+                                          std::size_t shards) {
+  std::vector<std::size_t> shard_of(pnodes);
+  for (std::size_t p = 0; p < pnodes; ++p) shard_of[p] = p * shards / pnodes;
+  return shard_of;
+}
 
 topology::Topology two_zone(std::size_t a, std::size_t b) {
   topology::Topology topo;
@@ -72,9 +83,9 @@ TEST(Partition, HomogeneousDegeneratesToStriping) {
   // the seed layout existing scenarios (fig8) were written against.
   const topology::Topology topo = topology::homogeneous_dsl(8);
   EXPECT_EQ(engine::topo_partition(topo, 8, 4, 7),
-            engine::stripe_partition(8, 4));
+            stripe_partition(8, 4));
   EXPECT_EQ(engine::topo_partition(topo, 8, 2, 7),
-            engine::stripe_partition(8, 2));
+            stripe_partition(8, 2));
 }
 
 TEST(Partition, CoZonePnodesShareAShardWhenCapacityAllows) {
@@ -91,12 +102,12 @@ TEST(Partition, CoZonePnodesShareAShardWhenCapacityAllows) {
 }
 
 TEST(Partition, StripeIsContiguousBlocks) {
-  const auto part = engine::stripe_partition(10, 4);
+  const auto part = stripe_partition(10, 4);
   expect_valid_partition(part, 10, 4);
   EXPECT_TRUE(std::is_sorted(part.begin(), part.end()));
 }
 
-// -- partition/barrier/window invisibility --------------------------------
+// -- partition/barrier invisibility ---------------------------------------
 
 struct RunOutput {
   std::vector<double> completion_sec;
@@ -106,9 +117,7 @@ struct RunOutput {
 
 struct RunKnobs {
   std::size_t shards = 1;
-  engine::PartitionMode partition = engine::PartitionMode::kTopo;
   std::optional<engine::BarrierMode> barrier;
-  engine::WindowMode window = engine::WindowMode::kFixed;
 };
 
 RunOutput run_fig8(const RunKnobs& knobs) {
@@ -116,9 +125,7 @@ RunOutput run_fig8(const RunKnobs& knobs) {
   pc.physical_nodes = 8;
   pc.seed = 7;
   pc.shards = knobs.shards;
-  pc.partition = knobs.partition;
   pc.barrier = knobs.barrier;
-  pc.window = knobs.window;
   bt::SwarmConfig config;
   config.file_size = DataSize::mib(1);
   config.seeders = 2;
@@ -153,22 +160,6 @@ void expect_same_run(const RunOutput& golden, const RunOutput& run,
   }
 }
 
-TEST(PartitionDeterminism, TopoAndStripeReplayTheSameBytes) {
-  // The determinism suite re-run under both partition policies: K = 1, 2,
-  // 4 under topo and under stripe all replay the K=1 run bit for bit.
-  const RunOutput golden = run_fig8({.shards = 1});
-  ASSERT_FALSE(golden.trace.empty());
-  for (const std::size_t k : {std::size_t{2}, std::size_t{4}}) {
-    for (const engine::PartitionMode mode :
-         {engine::PartitionMode::kTopo, engine::PartitionMode::kStripe}) {
-      const char* name =
-          mode == engine::PartitionMode::kTopo ? "topo" : "stripe";
-      expect_same_run(golden, run_fig8({.shards = k, .partition = mode}),
-                      std::string(name) + " K=" + std::to_string(k));
-    }
-  }
-}
-
 TEST(PartitionDeterminism, SpinBarrierReplaysBlockBarrier) {
   // The barrier wait strategy is pure wall-clock mechanics; forcing spin
   // (even time-sliced on one core) must not perturb simulated state.
@@ -178,21 +169,6 @@ TEST(PartitionDeterminism, SpinBarrierReplaysBlockBarrier) {
   expect_same_run(
       golden, run_fig8({.shards = 2, .barrier = engine::BarrierMode::kSpin}),
       "spin barrier K=2");
-}
-
-TEST(PartitionDeterminism, AdaptiveWindowsAreShardCountInvariant) {
-  // Adaptive windows change the barrier schedule (and so may legally
-  // change the trace vs. fixed windows), but the schedule is a function of
-  // simulated state only — K = 1, 2, 4 must still agree bit for bit.
-  const RunOutput golden =
-      run_fig8({.shards = 1, .window = engine::WindowMode::kAdaptive});
-  ASSERT_FALSE(golden.trace.empty());
-  for (const std::size_t k : {std::size_t{2}, std::size_t{4}}) {
-    expect_same_run(
-        golden,
-        run_fig8({.shards = k, .window = engine::WindowMode::kAdaptive}),
-        "adaptive K=" + std::to_string(k));
-  }
 }
 
 }  // namespace

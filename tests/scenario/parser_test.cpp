@@ -1,17 +1,15 @@
 // Scenario-DSL parser tests: golden error messages (with line numbers —
 // the DSL's main UX surface), --set override semantics, unit parsing, and
-// the shipped-catalog equivalence guarantee: every scenarios/*.scn must
-// parse to exactly the spec its C++ catalog twin builds, so `p2plab_run`
-// and the bench binaries stay interchangeable.
+// the shipped scenarios: every scenarios/*.scn must parse and declare at
+// least one output.
 #include "scenario/parser.hpp"
 
 #include <algorithm>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#include "scenario/catalog.hpp"
 
 namespace p2plab::scenario {
 namespace {
@@ -447,17 +445,14 @@ TEST(ScenarioParserErrors, UnterminatedQuote) {
 
 // -- profiling keys -------------------------------------------------------
 
-TEST(ScenarioParserProfile, ProfileKeyAndPinParse) {
+TEST(ScenarioParserProfile, ProfileKeyParses) {
   const ScenarioSpec spec = parse_ok(
       "scenario x\n"
       "[workload]\n"
       "type swarm\n"
       "[engine]\n"
-      "profile on\n"
-      "pin off\n");
+      "profile on\n");
   EXPECT_TRUE(spec.engine.profile);
-  ASSERT_TRUE(spec.engine.pin_workers.has_value());
-  EXPECT_FALSE(*spec.engine.pin_workers);
   EXPECT_EQ(spec.resolved_profile_trace(), "profile.json");
 }
 
@@ -465,7 +460,6 @@ TEST(ScenarioParserProfile, OffByDefaultAndUndeclared) {
   const ScenarioSpec spec =
       parse_ok("scenario x\n[workload]\ntype swarm\n");
   EXPECT_FALSE(spec.engine.profile);
-  EXPECT_FALSE(spec.engine.pin_workers.has_value());
   EXPECT_EQ(spec.resolved_profile_trace(), "");
   for (const std::string& file : spec.declared_outputs()) {
     EXPECT_EQ(file.find("profile"), std::string::npos) << file;
@@ -495,72 +489,11 @@ TEST(ScenarioParserProfile, BadProfileValue) {
             "line 5: bad value 'maybe' for profile (expected on|off)");
 }
 
-// -- scaling keys (barrier / window / partition) --------------------------
-
-TEST(ScenarioParserScaling, BarrierWindowPartitionParse) {
-  const ScenarioSpec spec = parse_ok(
-      "scenario x\n"
-      "[workload]\n"
-      "type swarm\n"
-      "[engine]\n"
-      "barrier spin\n"
-      "window adaptive\n"
-      "partition stripe\n");
-  ASSERT_TRUE(spec.engine.barrier.has_value());
-  EXPECT_EQ(*spec.engine.barrier, BarrierWait::kSpin);
-  EXPECT_EQ(spec.engine.window, WindowPolicy::kAdaptive);
-  EXPECT_EQ(spec.engine.partition, PartitionPolicy::kStripe);
-}
-
-TEST(ScenarioParserScaling, BlockBarrierParses) {
-  const ScenarioSpec spec = parse_ok(
-      "scenario x\n"
-      "[workload]\n"
-      "type swarm\n"
-      "[engine]\n"
-      "barrier block\n");
-  ASSERT_TRUE(spec.engine.barrier.has_value());
-  EXPECT_EQ(*spec.engine.barrier, BarrierWait::kBlock);
-}
-
-TEST(ScenarioParserScaling, Defaults) {
-  const ScenarioSpec spec =
-      parse_ok("scenario x\n[workload]\ntype swarm\n");
-  EXPECT_FALSE(spec.engine.barrier.has_value());  // auto: spin iff cores
-  EXPECT_EQ(spec.engine.window, WindowPolicy::kFixed);
-  EXPECT_EQ(spec.engine.partition, PartitionPolicy::kTopo);
-}
-
-TEST(ScenarioParserScaling, BadBarrierValue) {
-  EXPECT_EQ(parse_error("scenario x\n"
-                        "[workload]\n"
-                        "type swarm\n"
-                        "[engine]\n"
-                        "barrier busywait\n"),
-            "line 5: unknown barrier 'busywait' (spin|block)");
-}
-
-TEST(ScenarioParserScaling, BadWindowValue) {
-  EXPECT_EQ(parse_error("scenario x\n"
-                        "[workload]\n"
-                        "type swarm\n"
-                        "[engine]\n"
-                        "window huge\n"),
-            "line 5: unknown window 'huge' (fixed|adaptive)");
-}
-
-TEST(ScenarioParserScaling, BadPartitionValue) {
-  EXPECT_EQ(parse_error("scenario x\n"
-                        "[workload]\n"
-                        "type swarm\n"
-                        "[engine]\n"
-                        "partition random\n"),
-            "line 5: unknown partition 'random' (topo|stripe)");
-}
+// -- engine key list ------------------------------------------------------
 
 TEST(ScenarioParserScaling, UnknownEngineKeyEnumeratesTheKeyList) {
-  // The error must enumerate every accepted key — including the scaling
-  // trio — from the same single source --list-workloads prints.
+  // The error must enumerate every accepted key from the same single
+  // source --list-workloads prints.
   EXPECT_EQ(parse_error("scenario x\n"
                         "[workload]\n"
                         "type swarm\n"
@@ -568,20 +501,31 @@ TEST(ScenarioParserScaling, UnknownEngineKeyEnumeratesTheKeyList) {
                         "warp 9\n"),
             "line 5: unknown key 'warp' in [engine] (expected " +
                 engine_keys() + ")");
-  EXPECT_NE(engine_keys().find("barrier"), std::string::npos);
-  EXPECT_NE(engine_keys().find("window"), std::string::npos);
-  EXPECT_NE(engine_keys().find("partition"), std::string::npos);
+  EXPECT_EQ(engine_keys(),
+            "shards|transport|physical_nodes|fold|seed|stop|run_for|"
+            "check_invariants|trace|profile");
 }
 
-TEST(ScenarioParserScaling, SetOverridesReachScalingKeys) {
-  const ScenarioSpec spec = parse_ok(
-      "scenario x\n[workload]\ntype swarm\n",
-      {"engine.barrier=spin", "engine.window=adaptive",
-       "engine.partition=stripe"});
-  ASSERT_TRUE(spec.engine.barrier.has_value());
-  EXPECT_EQ(*spec.engine.barrier, BarrierWait::kSpin);
-  EXPECT_EQ(spec.engine.window, WindowPolicy::kAdaptive);
-  EXPECT_EQ(spec.engine.partition, PartitionPolicy::kStripe);
+TEST(ScenarioParserScaling, RemovedOverrideKeysAreUnknown) {
+  // Pinning, the barrier wait and the partition are chosen from the
+  // affinity mask and the topology, and windows are always the fixed
+  // lookahead grid: the keys that once overrode them are plain unknown
+  // keys, in the file and through --set.
+  for (const std::string line : {"window adaptive", "partition stripe",
+                                 "barrier spin", "pin off"}) {
+    const std::string key = line.substr(0, line.find(' '));
+    EXPECT_EQ(parse_error("scenario x\n"
+                          "[workload]\n"
+                          "type swarm\n"
+                          "[engine]\n" +
+                          line + "\n"),
+              "line 5: unknown key '" + key + "' in [engine] (expected " +
+                  engine_keys() + ")");
+  }
+  EXPECT_EQ(parse_error("scenario x\n[workload]\ntype swarm\n",
+                        {"engine.window=adaptive"}),
+            "--set engine.window=adaptive: unknown key 'window' in [engine] "
+            "(expected " + engine_keys() + ")");
 }
 
 // -- --set overrides ------------------------------------------------------
@@ -618,160 +562,22 @@ TEST(ScenarioParserOverrides, BadValueInSetKeepsSetSource) {
             "--set workload.clients=lots: bad count 'lots' for clients");
 }
 
-// -- shipped .scn <-> catalog equivalence ---------------------------------
+// -- shipped scenarios ----------------------------------------------------
 
-void expect_same_plan(const fault::FaultPlan& a, const fault::FaultPlan& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const fault::FaultSpec& x = a.specs()[i];
-    const fault::FaultSpec& y = b.specs()[i];
-    EXPECT_EQ(x.kind, y.kind) << "fault " << i;
-    EXPECT_EQ(x.node, y.node) << "fault " << i;
-    EXPECT_EQ(x.at, y.at) << "fault " << i;
-    EXPECT_EQ(x.duration, y.duration) << "fault " << i;
-    EXPECT_EQ(x.rejoin, y.rejoin) << "fault " << i;
-    EXPECT_EQ(x.extra_latency, y.extra_latency) << "fault " << i;
+TEST(ShippedScenarios, EveryFileParses) {
+  // A .scn file is the only definition of a shipped experiment, so each
+  // one must parse and write something; a new file is covered on arrival.
+  const std::filesystem::path dir =
+      std::filesystem::path(P2PLAB_SOURCE_DIR) / "scenarios";
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".scn") continue;
+    ++files;
+    const ParseResult result = parse_scenario_file(entry.path().string());
+    ASSERT_TRUE(result.spec) << entry.path() << ": " << result.error;
+    EXPECT_FALSE(result.spec->declared_outputs().empty()) << entry.path();
   }
-}
-
-void expect_equivalent(const ScenarioSpec& parsed, const ScenarioSpec& built) {
-  EXPECT_EQ(parsed.name, built.name);
-  EXPECT_EQ(parsed.workload, built.workload);
-  EXPECT_EQ(parsed.swarm.clients, built.swarm.clients);
-  EXPECT_EQ(parsed.swarm.seeders, built.swarm.seeders);
-  EXPECT_EQ(parsed.swarm.file_size.count_bytes(),
-            built.swarm.file_size.count_bytes());
-  EXPECT_EQ(parsed.swarm.piece_length.count_bytes(),
-            built.swarm.piece_length.count_bytes());
-  EXPECT_EQ(parsed.swarm.start_interval, built.swarm.start_interval);
-  EXPECT_EQ(parsed.swarm.content_seed, built.swarm.content_seed);
-  EXPECT_EQ(parsed.swarm.max_duration, built.swarm.max_duration);
-  EXPECT_EQ(parsed.ping.nodes, built.ping.nodes);
-  EXPECT_EQ(parsed.ping.rules_max, built.ping.rules_max);
-  EXPECT_EQ(parsed.ping.rules_step, built.ping.rules_step);
-  EXPECT_EQ(parsed.ping.probes, built.ping.probes);
-  EXPECT_EQ(parsed.validate.nodes, built.validate.nodes);
-  EXPECT_EQ(parsed.validate.flows, built.validate.flows);
-  EXPECT_EQ(parsed.validate.transfer.count_bytes(),
-            built.validate.transfer.count_bytes());
-  EXPECT_EQ(parsed.validate.message.count_bytes(),
-            built.validate.message.count_bytes());
-  EXPECT_EQ(parsed.validate.loss_datagrams, built.validate.loss_datagrams);
-  EXPECT_EQ(parsed.validate.ge_p_good_bad, built.validate.ge_p_good_bad);
-  EXPECT_EQ(parsed.validate.ge_p_bad_good, built.validate.ge_p_bad_good);
-  EXPECT_EQ(parsed.validate.ge_loss_bad, built.validate.ge_loss_bad);
-  EXPECT_EQ(parsed.validate.goodput_tolerance,
-            built.validate.goodput_tolerance);
-  EXPECT_EQ(parsed.validate.rtt_tolerance, built.validate.rtt_tolerance);
-  EXPECT_EQ(parsed.validate.loss_tolerance, built.validate.loss_tolerance);
-  EXPECT_EQ(parsed.validate.jain_min, built.validate.jain_min);
-  EXPECT_EQ(parsed.validate.expect_bandwidth, built.validate.expect_bandwidth);
-  EXPECT_EQ(parsed.gossip.nodes, built.gossip.nodes);
-  EXPECT_EQ(parsed.gossip.period, built.gossip.period);
-  EXPECT_EQ(parsed.gossip.ping_timeout, built.gossip.ping_timeout);
-  EXPECT_EQ(parsed.gossip.suspect_timeout, built.gossip.suspect_timeout);
-  EXPECT_EQ(parsed.gossip.indirect_k, built.gossip.indirect_k);
-  EXPECT_EQ(parsed.gossip.piggyback, built.gossip.piggyback);
-  EXPECT_EQ(parsed.gossip.join_interval, built.gossip.join_interval);
-  EXPECT_EQ(parsed.engine.transport, built.engine.transport);
-  EXPECT_EQ(parsed.engine.shards, built.engine.shards);
-  EXPECT_EQ(parsed.engine.physical_nodes, built.engine.physical_nodes);
-  EXPECT_EQ(parsed.engine.fold, built.engine.fold);
-  EXPECT_EQ(parsed.engine.seed, built.engine.seed);
-  EXPECT_EQ(parsed.engine.stop, built.engine.stop);
-  EXPECT_EQ(parsed.engine.check_invariants, built.engine.check_invariants);
-  EXPECT_EQ(parsed.engine.trace, built.engine.trace);
-  EXPECT_EQ(parsed.engine.profile, built.engine.profile);
-  EXPECT_EQ(parsed.engine.pin_workers, built.engine.pin_workers);
-  EXPECT_EQ(parsed.engine.barrier, built.engine.barrier);
-  EXPECT_EQ(parsed.engine.window, built.engine.window);
-  EXPECT_EQ(parsed.engine.partition, built.engine.partition);
-  EXPECT_EQ(parsed.resolved_physical_nodes(), built.resolved_physical_nodes());
-  EXPECT_EQ(parsed.faults.churn.enabled, built.faults.churn.enabled);
-  EXPECT_EQ(parsed.faults.churn.fraction, built.faults.churn.fraction);
-  EXPECT_EQ(parsed.faults.churn.window_start, built.faults.churn.window_start);
-  EXPECT_EQ(parsed.faults.churn.window_end, built.faults.churn.window_end);
-  EXPECT_EQ(parsed.faults.churn.rejoin_fraction,
-            built.faults.churn.rejoin_fraction);
-  EXPECT_EQ(parsed.faults.churn.rejoin_min, built.faults.churn.rejoin_min);
-  EXPECT_EQ(parsed.faults.churn.rejoin_max, built.faults.churn.rejoin_max);
-  EXPECT_EQ(parsed.faults.churn.rng_stream, built.faults.churn.rng_stream);
-  expect_same_plan(parsed.faults.plan, built.faults.plan);
-  EXPECT_EQ(parsed.declared_outputs(), built.declared_outputs());
-  EXPECT_EQ(parsed.outputs.completions_note, built.outputs.completions_note);
-  EXPECT_EQ(parsed.outputs.completion_curve_note,
-            built.outputs.completion_curve_note);
-  EXPECT_EQ(parsed.outputs.csv_note, built.outputs.csv_note);
-  EXPECT_EQ(parsed.outputs.sampled_every, built.outputs.sampled_every);
-  EXPECT_EQ(parsed.outputs.grid, built.outputs.grid);
-  EXPECT_EQ(parsed.outputs.report, built.outputs.report);
-}
-
-ScenarioSpec parse_shipped(const char* file) {
-  const std::string path =
-      std::string(P2PLAB_SOURCE_DIR) + "/scenarios/" + file;
-  ParseResult result = parse_scenario_file(path, {});
-  EXPECT_TRUE(result.spec) << path << ": " << result.error;
-  return result.spec ? *result.spec : ScenarioSpec{};
-}
-
-TEST(ShippedScenarios, Fig6MatchesCatalog) {
-  expect_equivalent(parse_shipped("fig6.scn"), catalog::fig6());
-}
-
-TEST(ShippedScenarios, Fig8MatchesCatalog) {
-  expect_equivalent(parse_shipped("fig8.scn"), catalog::fig8());
-}
-
-TEST(ShippedScenarios, Fig10MatchesCatalog) {
-  expect_equivalent(parse_shipped("fig10.scn"), catalog::fig10());
-}
-
-TEST(ShippedScenarios, ChurnMatchesCatalog) {
-  expect_equivalent(parse_shipped("churn.scn"), catalog::churn());
-}
-
-TEST(ShippedScenarios, FlashCrowdParses) {
-  const ScenarioSpec spec = parse_shipped("flashcrowd.scn");
-  expect_equivalent(spec, catalog::flash_crowd());
-}
-
-TEST(ShippedScenarios, GossipMatchesCatalog) {
-  expect_equivalent(parse_shipped("gossip.scn"), catalog::gossip());
-}
-
-TEST(ShippedScenarios, AccuracyMatchesCatalog) {
-  const ScenarioSpec parsed = parse_shipped("accuracy.scn");
-  const ScenarioSpec built = catalog::accuracy();
-  expect_equivalent(parsed, built);
-  // Both carry an inline topology; the accuracy harness derives its
-  // expectations from it, so zone-level drift would silently change what
-  // the invariants assert.
-  ASSERT_EQ(parsed.topology.source, TopologySource::kInline);
-  ASSERT_EQ(built.topology.source, TopologySource::kInline);
-  ASSERT_TRUE(parsed.topology.built.has_value());
-  ASSERT_TRUE(built.topology.built.has_value());
-  const topology::Topology& pt = *parsed.topology.built;
-  const topology::Topology& ct = *built.topology.built;
-  ASSERT_EQ(pt.zones().size(), ct.zones().size());
-  for (std::size_t z = 0; z < pt.zones().size(); ++z) {
-    const topology::Zone& a = pt.zones()[z];
-    const topology::Zone& b = ct.zones()[z];
-    EXPECT_EQ(a.name, b.name) << "zone " << z;
-    EXPECT_EQ(a.subnet.to_string(), b.subnet.to_string()) << "zone " << z;
-    EXPECT_EQ(a.node_count, b.node_count) << "zone " << z;
-    EXPECT_EQ(a.link.down, b.link.down) << "zone " << z;
-    EXPECT_EQ(a.link.up, b.link.up) << "zone " << z;
-    EXPECT_EQ(a.link.latency, b.link.latency) << "zone " << z;
-    EXPECT_EQ(a.link.loss_rate, b.link.loss_rate) << "zone " << z;
-  }
-  ASSERT_EQ(pt.latencies().size(), ct.latencies().size());
-  for (std::size_t i = 0; i < pt.latencies().size(); ++i) {
-    EXPECT_EQ(pt.latencies()[i].a, ct.latencies()[i].a) << "latency " << i;
-    EXPECT_EQ(pt.latencies()[i].b, ct.latencies()[i].b) << "latency " << i;
-    EXPECT_EQ(pt.latencies()[i].latency, ct.latencies()[i].latency)
-        << "latency " << i;
-  }
+  EXPECT_GE(files, 1u);
 }
 
 }  // namespace
