@@ -4,9 +4,9 @@
 // assignment itself must be a pure function of (topology, pnodes, shards,
 // seed): deterministic, every pnode assigned exactly once, shard sizes
 // balanced to within one. And the engine's contract makes the partition
-// (EngineDeterminism.GoldenTraceIsShardCountInvariant replays K = 1, 2, 4)
-// and the barrier wait strategy invisible to results: spin and block
-// barriers must replay the same simulated bytes.
+// and the barrier wait strategy invisible to results: the topo (here
+// striped) layout and spin vs. block barriers must replay the same
+// simulated bytes.
 #include <algorithm>
 #include <cstddef>
 #include <optional>
@@ -113,6 +113,7 @@ struct RunOutput {
   std::vector<double> completion_sec;
   std::vector<std::string> trace;
   std::uint64_t dispatched = 0;
+  std::vector<std::size_t> shard_of_pnode;  // parallel runs only
 };
 
 struct RunKnobs {
@@ -143,6 +144,11 @@ RunOutput run_fig8(const RunKnobs& knobs) {
   out.completion_sec = swarm.completion_times_sec();
   out.trace = platform.trace_lines();
   out.dispatched = platform.dispatched_events();
+  if (knobs.shards > 1) {
+    for (std::size_t p = 0; p < pc.physical_nodes; ++p) {
+      out.shard_of_pnode.push_back(platform.shard_of_pnode(p));
+    }
+  }
   return out;
 }
 
@@ -157,6 +163,19 @@ void expect_same_run(const RunOutput& golden, const RunOutput& run,
   for (std::size_t i = 0; i < golden.trace.size(); ++i) {
     ASSERT_EQ(golden.trace[i], run.trace[i])
         << "first trace divergence: " << what << ", line " << i;
+  }
+}
+
+TEST(PartitionDeterminism, TopoAndStripeReplayTheSameBytes) {
+  // On this homogeneous cluster the topology-aware partitioner lays the
+  // pnodes out as contiguous stripes, and K = 2, 4 under that layout
+  // replay the K=1 run bit for bit.
+  const RunOutput golden = run_fig8({.shards = 1});
+  ASSERT_FALSE(golden.trace.empty());
+  for (const std::size_t k : {std::size_t{2}, std::size_t{4}}) {
+    const RunOutput run = run_fig8({.shards = k});
+    EXPECT_EQ(run.shard_of_pnode, stripe_partition(8, k)) << "K=" << k;
+    expect_same_run(golden, run, "topo K=" + std::to_string(k));
   }
 }
 
