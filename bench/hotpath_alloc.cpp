@@ -205,7 +205,6 @@ PhaseResult run_packet_phase(profile::Profiler& prof, std::uint64_t warmup,
     p.dst_port = 7;
     p.wire_size = DataSize::bytes(1500);
     p.flow = flow;
-    p.socket_demux = true;
     return p;
   };
   // The demux is the steady-state driver: every delivery sends the reply.

@@ -16,12 +16,11 @@ Platform::Platform(const topology::Topology& topo, PlatformConfig config)
     : topo_(topo), config_(config), rng_(config.seed) {
   P2PLAB_ASSERT(config_.physical_nodes >= 1);
   P2PLAB_ASSERT(topo_.total_nodes() >= 1);
+  // Classic mode is the one-shard layout without an engine.
+  std::size_t k = 1;
+  shard_of_pnode_.assign(config_.physical_nodes, 0);
   if (config_.shards > 0) {
-    // Parallel engine: one Simulation/Network/SocketManager per shard. Every
-    // shard's network forks the *same* rng stream the classic network would
-    // use — hosts then fork host streams keyed on their global index, so
-    // randomness is identical under any partition.
-    const std::size_t k = std::min(config_.shards, config_.physical_nodes);
+    k = std::min(config_.shards, config_.physical_nodes);
     engine_ = std::make_unique<engine::Engine>(topo_.min_access_latency() +
                                                config_.network.switch_latency);
     const int online = profile::Profiler::online_cores();
@@ -43,21 +42,19 @@ Platform::Platform(const topology::Topology& topo, PlatformConfig config)
                       : engine::BarrierMode::kBlock));
     shard_of_pnode_ = engine::topo_partition(topo_, config_.physical_nodes, k,
                                              config_.seed);
-    for (std::size_t s = 0; s < k; ++s) {
-      auto shard = std::make_unique<Shard>();
-      shard->network = std::make_unique<net::Network>(shard->sim, rng_.fork(1),
-                                                      config_.network);
-      shard->sockets = std::make_unique<sockets::SocketManager>(
-          *shard->network, vnode::Interceptor{config_.syscall_costs},
-          config_.stream);
-      engine_->add_shard(shard->sim, *shard->network);
-      shards_.push_back(std::move(shard));
-    }
-  } else {
-    network_ = std::make_unique<net::Network>(sim_, rng_.fork(1),
-                                              config_.network);
-    sockets_ = std::make_unique<sockets::SocketManager>(
-        *network_, vnode::Interceptor{config_.syscall_costs}, config_.stream);
+  }
+  // Every shard's network forks the *same* rng stream — hosts then fork
+  // host streams keyed on their global index, so randomness is identical
+  // under any partition.
+  for (std::size_t s = 0; s < k; ++s) {
+    auto shard = std::make_unique<Shard>();
+    shard->network = std::make_unique<net::Network>(shard->sim, rng_.fork(1),
+                                                    config_.network);
+    shard->sockets = std::make_unique<sockets::SocketManager>(
+        *shard->network, vnode::Interceptor{config_.syscall_costs},
+        config_.stream);
+    if (engine_) engine_->add_shard(shard->sim, *shard->network);
+    shards_.push_back(std::move(shard));
   }
   build_cluster();
   deploy_vnodes();
@@ -80,17 +77,17 @@ sim::Simulation& Platform::sim() {
   P2PLAB_ASSERT_MSG(!engine_mode(),
                     "no single simulation in engine mode: use sim_of_vnode "
                     "and Platform::run");
-  return sim_;
+  return shards_[0]->sim;
 }
 
 net::Network& Platform::network() {
   P2PLAB_ASSERT_MSG(!engine_mode(), "per-shard networks in engine mode");
-  return *network_;
+  return *shards_[0]->network;
 }
 
 sockets::SocketManager& Platform::sockets() {
   P2PLAB_ASSERT_MSG(!engine_mode(), "per-shard socket managers in engine mode");
-  return *sockets_;
+  return *shards_[0]->sockets;
 }
 
 std::size_t Platform::folding_ratio() const {
@@ -104,12 +101,10 @@ std::size_t Platform::pnode_of_vnode(std::size_t i) const {
 }
 
 std::size_t Platform::shard_of_pnode(std::size_t p) const {
-  if (!engine_) return 0;
   return shard_of_pnode_.at(p);
 }
 
 sim::Simulation& Platform::sim_of_vnode(std::size_t i) {
-  if (!engine_) return sim_;
   return shards_[shard_of_pnode(pnode_of_vnode(i))]->sim;
 }
 
@@ -121,29 +116,27 @@ metrics::Registry& Platform::registry_of_vnode(std::size_t i) {
 }
 
 net::Network& Platform::network_of_pnode(std::size_t p) {
-  return engine_ ? *shards_[shard_of_pnode(p)]->network : *network_;
+  return *shards_[shard_of_pnode(p)]->network;
 }
 
 sockets::SocketManager& Platform::sockets_of_pnode(std::size_t p) {
-  return engine_ ? *shards_[shard_of_pnode(p)]->sockets : *sockets_;
+  return *shards_[shard_of_pnode(p)]->sockets;
 }
 
 SimTime Platform::now() const {
-  return engine_ ? engine_->now() : sim_.now();
+  return engine_ ? engine_->now() : shards_[0]->sim.now();
 }
 
 std::uint64_t Platform::dispatched_events() const {
-  if (!engine_) return sim_.dispatched_events();
   std::uint64_t total = 0;
   for (const auto& shard : shards_) total += shard->sim.dispatched_events();
   return total;
 }
 
 std::size_t Platform::pending_events() const {
-  if (!engine_) return sim_.pending_events();
   // Handoffs parked in the engine's outbox buffers across a stop count as
   // pending: they re-enter a simulation at the next run's first window.
-  std::size_t total = engine_->pending_handoffs();
+  std::size_t total = engine_ ? engine_->pending_handoffs() : 0;
   for (const auto& shard : shards_) total += shard->sim.pending_events();
   return total;
 }
@@ -164,25 +157,26 @@ Platform::RunResult Platform::run(SimTime deadline,
         return RunResult::kDrained;
     }
   }
-  // Classic mode: chunked run_until calls. With profiling on, each chunk
-  // becomes one execute sample in the single shard-0 ring — wall-clock
-  // bookkeeping between chunks, invisible to virtual time.
+  // Classic mode: chunked run_until calls on the one shard. With profiling
+  // on, each chunk becomes one execute sample in the shard-0 ring —
+  // wall-clock bookkeeping between chunks, invisible to virtual time.
+  sim::Simulation& sim = shards_[0]->sim;
   profile::SampleRing* const ring =
       profiler_ != nullptr ? &profiler_->shard_ring(0) : nullptr;
   auto chunk = [&](SimTime until) {
     if (ring == nullptr) {
-      sim_.run_until(until);
+      sim.run_until(until);
       return;
     }
     const std::uint64_t t0 = profiler_->now_ns();
-    const std::uint64_t ev0 = sim_.dispatched_events();
-    sim_.run_until(until);
+    const std::uint64_t ev0 = sim.dispatched_events();
+    sim.run_until(until);
     const std::uint64_t t1 = profiler_->now_ns();
     ring->push(profile::PhaseSample{.start_ns = t0,
                                     .dur_ns = t1 - t0,
                                     .window = classic_chunk_++,
-                                    .events = sim_.dispatched_events() - ev0,
-                                    .queue_depth = sim_.pending_events(),
+                                    .events = sim.dispatched_events() - ev0,
+                                    .queue_depth = sim.pending_events(),
                                     .phase = profile::Phase::kExecute});
   };
   const profile::Profiler::ThreadTime rusage_base =
@@ -200,7 +194,7 @@ Platform::RunResult Platform::run(SimTime deadline,
       finish();
       return RunResult::kPredicate;
     }
-    const auto next = sim_.next_event_time();
+    const auto next = sim.next_event_time();
     if (!next.has_value()) {
       finish();
       return RunResult::kDrained;
@@ -210,7 +204,7 @@ Platform::RunResult Platform::run(SimTime deadline,
       finish();
       return RunResult::kDeadline;
     }
-    chunk(std::min(deadline, sim_.now() + check_interval));
+    chunk(std::min(deadline, sim.now() + check_interval));
   }
 }
 
@@ -226,16 +220,13 @@ void Platform::merge_shard_metrics() {
 
 void Platform::bind_metrics(metrics::Registry& reg) {
   master_reg_ = &reg;
-  if (engine_) {
-    for (const auto& shard : shards_) {
-      shard->sim.bind_metrics(shard->registry);
-      shard->network->bind_metrics(shard->registry);
-      shard->sockets->bind_metrics(shard->registry);
-    }
-  } else {
-    sim_.bind_metrics(reg);
-    network_->bind_metrics(reg);
-    sockets_->bind_metrics(reg);
+  for (const auto& shard : shards_) {
+    // Classic mode binds straight to the master registry: the health
+    // monitor reads it mid-run, with no merge in between.
+    metrics::Registry& target = engine_ ? shard->registry : reg;
+    shard->sim.bind_metrics(target);
+    shard->network->bind_metrics(target);
+    shard->sockets->bind_metrics(target);
   }
 }
 
@@ -411,31 +402,7 @@ void Platform::apply_link_config(std::size_t i) {
 
 void Platform::ping(Ipv4Addr src, Ipv4Addr dst,
                     std::function<void(Duration)> on_rtt, DataSize size) {
-  P2PLAB_ASSERT_MSG(!engine_mode(),
-                    "ping is classic-mode only: its reply closure would run "
-                    "on the destination's shard");
-  const SimTime start = sim_.now();
-  const ipfw::FlowId flow = 0x7f000000ull + ++ping_flow_;
-  net::Packet request;
-  request.src = src;
-  request.dst = dst;
-  request.wire_size = size;
-  request.flow = flow;
-  request.kind = net::PacketKind::kDatagram;
-  request.on_deliver = [this, start, size, flow,
-                        cb = std::move(on_rtt)](net::Packet&& p) mutable {
-    net::Packet reply;
-    reply.src = p.dst;
-    reply.dst = p.src;
-    reply.wire_size = size;
-    reply.flow = flow;
-    reply.kind = net::PacketKind::kDatagram;
-    reply.on_deliver = [this, start, cb = std::move(cb)](net::Packet&&) {
-      cb(sim_.now() - start);
-    };
-    network_->send(std::move(reply));
-  };
-  network_->send(std::move(request));
+  sockets().ping(src, dst, size, std::move(on_rtt));
 }
 
 std::size_t Platform::total_rules() const {
@@ -447,28 +414,19 @@ std::size_t Platform::total_rules() const {
 }
 
 void Platform::enable_tracing(std::size_t capacity) {
-  if (engine_) {
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      shards_[s]->recorder =
-          std::make_unique<metrics::FlightRecorder>(capacity);
-      engine_->set_recorder(s, shards_[s]->recorder.get());
-    }
-    // Setup-time events (main thread) land in shard 0's ring — the same
-    // ring for every shard count, preserving determinism.
-    metrics::FlightRecorder::set_active(shards_[0]->recorder.get());
-  } else {
-    recorder_ = std::make_unique<metrics::FlightRecorder>(capacity);
-    metrics::FlightRecorder::set_active(recorder_.get());
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s]->recorder = std::make_unique<metrics::FlightRecorder>(capacity);
+    if (engine_) engine_->set_recorder(s, shards_[s]->recorder.get());
   }
+  // Setup-time events (main thread) and all of classic mode land in shard
+  // 0's ring — the same ring for every shard count, preserving determinism.
+  metrics::FlightRecorder::set_active(shards_[0]->recorder.get());
 }
 
-bool Platform::tracing() const {
-  return recorder_ != nullptr ||
-         (!shards_.empty() && shards_[0]->recorder != nullptr);
-}
+bool Platform::tracing() const { return shards_[0]->recorder != nullptr; }
 
 std::uint64_t Platform::trace_dropped() const {
-  std::uint64_t dropped = recorder_ ? recorder_->dropped() : 0;
+  std::uint64_t dropped = 0;
   for (const auto& shard : shards_) {
     if (shard->recorder) dropped += shard->recorder->dropped();
   }
@@ -481,7 +439,6 @@ std::vector<std::string> Platform::trace_lines() const {
     auto rendered = rec.rendered_events();
     std::move(rendered.begin(), rendered.end(), std::back_inserter(events));
   };
-  if (recorder_) append(*recorder_);
   for (const auto& shard : shards_) {
     if (shard->recorder) append(*shard->recorder);
   }

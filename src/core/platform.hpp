@@ -8,14 +8,16 @@
 // per-virtual-node process environments and socket APIs for the studied
 // application. A ping probe reproduces the paper's latency measurements.
 //
-// With PlatformConfig::shards > 0 the platform runs on the parallel engine
-// (src/engine): physical nodes are partitioned across shards by the
-// topology-aware zone-affinity partitioner (engine/partition.hpp) — one
-// Simulation + Network + SocketManager per shard, driven by worker threads
-// under conservative synchronization. The partition is invisible to
-// results: a K-shard run is bit-identical to the 1-shard engine run (see
-// engine/engine.hpp and DESIGN.md §9). shards == 0 keeps the classic
-// single-threaded path with zero engine involvement.
+// The platform's state lives in shards — one Simulation + Network +
+// SocketManager each. With PlatformConfig::shards > 0 the platform runs on
+// the parallel engine (src/engine): physical nodes are partitioned across
+// shards by the topology-aware zone-affinity partitioner
+// (engine/partition.hpp), driven by worker threads under conservative
+// synchronization. The partition is invisible to results: a K-shard run is
+// bit-identical to the 1-shard engine run (see engine/engine.hpp and
+// DESIGN.md §9). shards == 0 is classic mode: the one-shard layout with no
+// engine — run() drives shard 0's simulation directly on the calling
+// thread, and inter-host packets cross the fabric without a handoff.
 #pragma once
 
 #include <cstdint>
@@ -80,8 +82,9 @@ class Platform {
   Platform(const Platform&) = delete;
   Platform& operator=(const Platform&) = delete;
 
-  /// Classic-mode accessors; in engine mode state is per shard, so use
-  /// sim_of_vnode / run / now / the aggregate counters instead.
+  /// Classic-mode accessors (shard 0, the only shard); in engine mode state
+  /// is per shard, so use sim_of_vnode / run / now / the aggregate counters
+  /// instead.
   sim::Simulation& sim();
   net::Network& network();
   sockets::SocketManager& sockets();
@@ -107,7 +110,7 @@ class Platform {
 
   bool engine_mode() const { return engine_ != nullptr; }
   /// Worker threads driving the platform (1 in classic mode).
-  std::size_t shard_count() const { return engine_ ? shards_.size() : 1; }
+  std::size_t shard_count() const { return shards_.size(); }
   /// Shard owning physical node p (0 in classic mode).
   std::size_t shard_of_pnode(std::size_t p) const;
 
@@ -180,8 +183,10 @@ class Platform {
   }
 
   /// ICMP-echo-like probe: round-trip time of a `size`-byte packet through
-  /// the full emulated path, both ways. The callback fires on reply.
-  /// Classic mode only (the engine carries socket traffic exclusively).
+  /// the full emulated path, both ways (SocketManager::ping). The callback
+  /// fires on reply. Classic mode only: the probes ping_sweep sends to
+  /// admin addresses cross no access pipe, so the engine would have no
+  /// lookahead for them.
   void ping(Ipv4Addr src, Ipv4Addr dst, std::function<void(Duration)> on_rtt,
             DataSize size = DataSize::bytes(64));
 
@@ -195,9 +200,8 @@ class Platform {
 
   // -- tracing ------------------------------------------------------------
 
-  /// Activate flight recording: one ring in classic mode, one per shard in
-  /// engine mode (workers activate their own — recording never crosses
-  /// threads).
+  /// Activate flight recording: one ring per shard (engine workers
+  /// activate their own — recording never crosses threads).
   void enable_tracing(std::size_t capacity = 1 << 16);
   bool tracing() const;
   /// Events lost to ring wraparound, summed over recorders. trace_lines()
@@ -229,8 +233,9 @@ class Platform {
   bool flush_profile_to_results(const char* filename = "profile.json") const;
 
  private:
-  /// One engine shard: a private simulation, network (hosts, firewalls),
-  /// socket manager and metrics registry, driven by one worker thread.
+  /// One shard: a private simulation, network (hosts, firewalls), socket
+  /// manager and metrics registry, driven by one engine worker thread (or,
+  /// in classic mode, by run() on the calling thread).
   struct Shard {
     sim::Simulation sim;
     std::unique_ptr<net::Network> network;
@@ -258,16 +263,12 @@ class Platform {
 
   topology::Topology topo_;
   PlatformConfig config_;
-  sim::Simulation sim_;  // classic mode; idle when sharded
   Rng rng_;
-  std::unique_ptr<net::Network> network_;            // classic mode
-  std::unique_ptr<sockets::SocketManager> sockets_;  // classic mode
-  std::unique_ptr<metrics::FlightRecorder> recorder_;  // classic tracing
   std::unique_ptr<profile::Profiler> profiler_;
   std::uint64_t classic_chunk_ = 0;  // classic-mode profile window index
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<engine::Engine> engine_;
-  /// pnode -> shard table (engine mode; see PlatformConfig::partition).
+  std::unique_ptr<engine::Engine> engine_;  // null in classic mode
+  /// pnode -> shard table (all zero in classic mode).
   std::vector<std::size_t> shard_of_pnode_;
   std::vector<net::Host*> host_by_pnode_;
   metrics::Registry* master_reg_ = nullptr;
@@ -279,7 +280,6 @@ class Platform {
   /// uint8_t, not bool: vector<bool> packs bits, and adjacent vnodes can
   /// live on different shards — independent bytes keep writes race-free.
   std::vector<std::uint8_t> vnode_online_;
-  std::uint64_t ping_flow_ = 0;
 };
 
 }  // namespace p2plab::core

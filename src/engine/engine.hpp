@@ -185,7 +185,6 @@ class Engine final : public net::FabricHandoff {
   /// process affinity mask) at the start of every run. Off by default;
   /// the platform enables it when online cores >= shards.
   void set_pin_workers(bool pin) { pin_workers_ = pin; }
-  bool pin_workers() const { return pin_workers_; }
   /// CPU each shard's worker was pinned to during the last run (-1 = not
   /// pinned). Valid after run() returns; empty before the first run.
   const std::vector<int>& worker_cpus() const { return worker_cpus_; }
@@ -193,7 +192,6 @@ class Engine final : public net::FabricHandoff {
   /// Barrier wait strategy; the platform defaults to kSpin when every
   /// worker can own a core and kBlock otherwise. Not changeable mid-run.
   void set_barrier_mode(BarrierMode mode);
-  BarrierMode barrier_mode() const { return barrier_mode_; }
 
   /// Declare that `addr` lives on `shard`. Mappings are static: a crashed
   /// vnode's address stays mapped (withdrawal is the destination shard's
@@ -201,9 +199,6 @@ class Engine final : public net::FabricHandoff {
   void map_address(Ipv4Addr addr, std::size_t shard);
 
   std::size_t shard_count() const { return sims_.size(); }
-  std::size_t shard_of_address(Ipv4Addr addr) const {
-    return shard_of_addr_.at(addr.to_u32());
-  }
   Duration lookahead() const { return lookahead_; }
   /// Barrier time: every shard has executed all its events before this.
   SimTime now() const { return cursor_; }

@@ -1,6 +1,5 @@
 #include "ipfw/pipe.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -31,21 +30,16 @@ Pipe::Pipe(sim::Simulation& sim, PipeConfig config, Rng rng)
 }
 
 bool Pipe::enqueue(Segment&& seg) {
-  ++stats_.segments_in;
-  stats_.bytes_in += seg.size.count_bytes();
   metrics_.segments_in.inc();
   metrics_.bytes_in.inc(seg.size.count_bytes());
   metrics_.queue_bytes.record(static_cast<double>(queued_bytes_));
 
   if (down_) {
-    ++stats_.segments_dropped;
-    ++stats_.segments_dropped_down;
     metrics_.drops_down.inc();
     return false;
   }
 
   if (config_.loss_rate > 0.0 && rng_.chance(config_.loss_rate)) {
-    ++stats_.segments_dropped;
     metrics_.drops_loss.inc();
     return false;
   }
@@ -60,8 +54,6 @@ bool Pipe::enqueue(Segment&& seg) {
     }
     const double p = burst_bad_ ? ge.loss_bad : ge.loss_good;
     if (p > 0.0 && rng_.chance(p)) {
-      ++stats_.segments_dropped;
-      ++stats_.segments_dropped_burst;
       metrics_.drops_burst.inc();
       return false;
     }
@@ -77,7 +69,6 @@ bool Pipe::enqueue(Segment&& seg) {
           config_.queue_limit.count_bytes() &&
       busy_) {
     // Queue full (the in-service segment does not count against the queue).
-    ++stats_.segments_dropped;
     metrics_.drops_overflow.inc();
     return false;
   }
@@ -89,7 +80,6 @@ bool Pipe::enqueue(Segment&& seg) {
   }
 
   queued_bytes_ += seg.size.count_bytes();
-  stats_.max_queue_bytes = std::max(stats_.max_queue_bytes, queued_bytes_);
   // FIFO mode is DRR over a single flow: the service loop takes no
   // simulated time, so one flow is served in exact arrival order.
   const FlowId id = config_.fair_queue ? seg.flow : 0;
@@ -166,8 +156,6 @@ void Pipe::start_service(Segment&& seg) {
 }
 
 void Pipe::depart(Segment&& seg) {
-  ++stats_.segments_out;
-  stats_.bytes_out += seg.size.count_bytes();
   metrics_.segments_out.inc();
   metrics_.bytes_out.inc(seg.size.count_bytes());
   // on_exit runs (or is scheduled) straight from the segment. Running it

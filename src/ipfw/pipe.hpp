@@ -56,17 +56,6 @@ struct PipeConfig {
   bool fair_queue = true;  // DRR across flows; false = strict FIFO
 };
 
-struct PipeStats {
-  std::uint64_t segments_in = 0;
-  std::uint64_t segments_out = 0;
-  std::uint64_t segments_dropped = 0;  // queue overflow + any loss + down
-  std::uint64_t segments_dropped_burst = 0;  // Gilbert-Elliott share
-  std::uint64_t segments_dropped_down = 0;   // administratively down share
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::uint64_t max_queue_bytes = 0;
-};
-
 /// Registry handles shared by every pipe in a firewall: the same metric
 /// names resolve to the same cells, so thousands of access-link pipes
 /// aggregate into one set of emulator-wide pipe counters. Copyable by
@@ -117,7 +106,6 @@ class Pipe {
   bool enqueue(Segment&& seg);
 
   const PipeConfig& config() const { return config_; }
-  const PipeStats& stats() const { return stats_; }
   DataSize queued() const { return DataSize::bytes(queued_bytes_); }
 
   /// Reconfigure bandwidth/delay/loss in place (ipfw pipe N config ...).
@@ -161,7 +149,6 @@ class Pipe {
   sim::Simulation& sim_;
   PipeConfig config_;
   Rng rng_;
-  PipeStats stats_;
   PipeMetrics metrics_;
 
   bool busy_ = false;

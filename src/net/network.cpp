@@ -65,8 +65,6 @@ void Network::reattach_address(Ipv4Addr addr, Host& host) {
 }
 
 void Network::send(Packet packet) {
-  ++stats_.packets_sent;
-  stats_.bytes_sent += packet.wire_size.count_bytes();
   metrics_.packets_sent.inc();
   metrics_.bytes_sent.inc(packet.wire_size.count_bytes());
   packet.sent_at = sim_.now();
@@ -76,7 +74,6 @@ void Network::send(Packet packet) {
     // Source address detached (crashed vnode with a send still queued, a
     // departed node's retransmission): the packet dies at the NIC instead
     // of wedging the run on an assertion.
-    ++stats_.packets_unroutable;
     metrics_.packets_unroutable.inc();
     return;
   }
@@ -96,7 +93,6 @@ void Network::send(Packet packet) {
     return;
   }
   if (host_of(packet.dst) == nullptr) {
-    ++stats_.packets_unroutable;
     metrics_.packets_unroutable.inc();
     return;
   }
@@ -107,7 +103,6 @@ void Network::leave_source(PacketRef packet, Host& src, PathStage stage) {
   auto match = src.firewall().classify(packet->src, packet->dst,
                                        ipfw::RuleDir::kOut);
   if (match.denied) {
-    ++stats_.packets_dropped_fw;
     metrics_.packets_dropped_fw.inc();
     return;  // the ref dies here; the cell goes straight back to the pool
   }
@@ -137,20 +132,15 @@ void Network::handoff_exit(PacketRef packet, Host& src) {
   const SimTime now = sim_.now();
   const auto tx_delay = src.nic_tx().transmit(now, packet->wire_size);
   if (!tx_delay) {
-    ++stats_.packets_dropped_pipe;
     metrics_.packets_dropped_pipe.inc();
     return;
   }
   metrics_.nic_tx_bytes.inc(packet->wire_size.count_bytes());
-  P2PLAB_ASSERT_MSG(packet->socket_demux,
-                    "the parallel engine carries socket traffic only: an "
-                    "on_deliver closure could capture source-shard state");
   const SimTime stamp =
       now + packet->deferred_delay + *tx_delay + config_.switch_latency;
   if (!handoff_->push(src.global_index(), src.next_fabric_seq(), stamp,
                       std::move(*packet))) {
     // No shard ever deployed the address (as opposed to withdrawn).
-    ++stats_.packets_unroutable;
     metrics_.packets_unroutable.inc();
   }
   // The moved-out husk recycles as the ref dies here.
@@ -161,13 +151,11 @@ void Network::fabric_arrive(PacketRef packet) {
   if (dst == nullptr) {
     // Address withdrawn (crashed vnode) — discovered here, on the shard
     // that owns the destination's routing state.
-    ++stats_.packets_unroutable;
     metrics_.packets_unroutable.inc();
     return;
   }
   const auto rx_delay = dst->nic_rx().transmit(sim_.now(), packet->wire_size);
   if (!rx_delay) {
-    ++stats_.packets_dropped_pipe;
     metrics_.packets_dropped_pipe.inc();
     return;
   }
@@ -189,7 +177,6 @@ void Network::traverse_fabric(PacketRef packet, Host& src, Host& dst) {
   const SimTime now = sim_.now();
   const auto tx_delay = src.nic_tx().transmit(now, packet->wire_size);
   if (!tx_delay) {
-    ++stats_.packets_dropped_pipe;
     metrics_.packets_dropped_pipe.inc();
     return;
   }
@@ -198,7 +185,6 @@ void Network::traverse_fabric(PacketRef packet, Host& src, Host& dst) {
   const auto rx_delay =
       dst.nic_rx().transmit(at_switch_out, packet->wire_size);
   if (!rx_delay) {
-    ++stats_.packets_dropped_pipe;
     metrics_.packets_dropped_pipe.inc();
     return;
   }
@@ -213,7 +199,6 @@ void Network::arrive_at_destination(PacketRef packet, Host& dst) {
   auto match = dst.firewall().classify(packet->src, packet->dst,
                                        ipfw::RuleDir::kIn);
   if (match.denied) {
-    ++stats_.packets_dropped_fw;
     metrics_.packets_dropped_fw.inc();
     return;
   }
@@ -233,15 +218,10 @@ void Network::arrive_at_destination(PacketRef packet, Host& dst) {
 }
 
 void Network::deliver(PacketRef packet) {
-  ++stats_.packets_delivered;
-  stats_.bytes_delivered += packet->wire_size.count_bytes();
   metrics_.packets_delivered.inc();
   metrics_.bytes_delivered.inc(packet->wire_size.count_bytes());
-  if (packet->socket_demux && socket_demux_) {
+  if (socket_demux_) {
     socket_demux_(std::move(*packet));
-  } else if (packet->on_deliver) {
-    auto cb = std::move(packet->on_deliver);
-    cb(std::move(*packet));
   } else {
     P2PLAB_LOG_DEBUG("packet to %s:%u had no deliver handler",
                      packet->dst.to_string().c_str(), packet->dst_port);
@@ -276,10 +256,7 @@ void Network::pass_pipes(PacketRef packet, Host& host, ipfw::PipeList pipes,
                        stage);
           },
       .defer_delay = defer});
-  if (!accepted) {
-    ++stats_.packets_dropped_pipe;
-    metrics_.packets_dropped_pipe.inc();
-  }
+  if (!accepted) metrics_.packets_dropped_pipe.inc();
 }
 
 void Network::finish_path(PacketRef packet, Host& host, PathStage stage) {
@@ -290,7 +267,6 @@ void Network::finish_path(PacketRef packet, Host& host, PathStage stage) {
     case PathStage::kSource: {
       Host* dst = host_of(packet->dst);
       if (dst == nullptr) {  // address vanished mid-flight
-        ++stats_.packets_unroutable;
         metrics_.packets_unroutable.inc();
         return;
       }

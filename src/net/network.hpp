@@ -36,16 +36,6 @@ struct NetworkConfig {
   Duration switch_latency = Duration::us(30);
 };
 
-struct NetworkStats {
-  std::uint64_t packets_sent = 0;
-  std::uint64_t packets_delivered = 0;
-  std::uint64_t packets_dropped_fw = 0;       // deny rules
-  std::uint64_t packets_dropped_pipe = 0;     // pipe queue overflow / loss
-  std::uint64_t packets_unroutable = 0;       // no host owns the address
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t bytes_delivered = 0;
-};
-
 /// Registry handles for the "net.*" metrics. The NIC byte counters are the
 /// per-link load view (fabric hops only — loopback between co-located
 /// vnodes never touches a NIC, which is the folding win being measured).
@@ -90,7 +80,6 @@ class Network {
 
   sim::Simulation& sim() { return sim_; }
   const NetworkConfig& config() const { return config_; }
-  const NetworkStats& stats() const { return stats_; }
 
   static constexpr std::size_t kAutoIndex = static_cast<std::size_t>(-1);
 
@@ -117,9 +106,9 @@ class Network {
   /// Restore a previously detached alias of `host` (vnode rejoin).
   void reattach_address(Ipv4Addr addr, Host& host);
 
-  /// Send a packet through the emulated path. The packet's on_deliver runs
-  /// at the destination; dropped packets vanish (transports recover via
-  /// timeout, exactly like the real platform).
+  /// Send a packet through the emulated path. At the destination it is
+  /// handed to the socket demux; dropped packets vanish (transports
+  /// recover via timeout, exactly like the real platform).
   void send(Packet packet);
 
   // -- parallel-engine hooks ----------------------------------------------
@@ -128,10 +117,8 @@ class Network {
   /// source-side pipes then defer their fixed delays into the packet
   /// (Pipe::Segment::defer_delay) and the NIC-tx/switch hop is folded into
   /// the handoff stamp; the destination side reserves its NIC-rx and runs
-  /// the inbound firewall on arrival. Engine mode requires socket_demux
-  /// traffic — an on_deliver closure could capture source-shard state.
+  /// the inbound firewall on arrival.
   void set_fabric_handoff(FabricHandoff* handoff) { handoff_ = handoff; }
-  bool engine_mode() const { return handoff_ != nullptr; }
 
   /// Destination entry point for handed-off packets; the engine schedules
   /// this at the packet's stamp on the owning shard's simulation, acquiring
@@ -143,9 +130,9 @@ class Network {
   /// packet; cells never cross pools.
   PacketPool& pool() { return pool_; }
 
-  /// Deliver packets flagged socket_demux through this callback (installed
-  /// by the shard's SocketManager; per-shard, so delivery never touches
-  /// another shard's port table).
+  /// Deliver every packet that completes its path through this callback
+  /// (installed by the shard's SocketManager; per-shard, so delivery never
+  /// touches another shard's port table).
   void set_socket_demux(std::function<void(Packet&&)> demux);
 
   /// Resolve "net.*" handles from `reg` and bind the firewall of every
@@ -181,7 +168,6 @@ class Network {
   sim::Simulation& sim_;
   Rng rng_;
   NetworkConfig config_;
-  NetworkStats stats_;
   NetMetrics metrics_;
   // Declared before hosts_: pipes hold queued segments whose closures own
   // PacketRefs, so hosts_ (destroyed first, reverse declaration order)

@@ -2,13 +2,13 @@
 //
 // A Packet models one transport segment (up to a whole application message;
 // the pipes serialize it proportionally to wire_size, which approximates a
-// burst of MTU-sized frames back to back). Delivery is a closure carried by
-// the packet itself: the simulation has no global demultiplexer at this
-// layer — the sockets layer installs one per port.
+// burst of MTU-sized frames back to back). Every delivered packet goes
+// through the destination network's demux, which the sockets layer
+// installs (one per network); the packet carries no code of its own, so
+// delivery resolves against destination-side state only.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "common/ipv4.hpp"
@@ -22,13 +22,18 @@ class PacketPool;
 
 /// Transport-level packet kinds; opaque to the network layer.
 enum class PacketKind : std::uint8_t {
-  kDatagram = 0,  // fire-and-forget (ping probes, raw sends)
+  kDatagram = 0,  // UDP datagram
   kSyn,
   kSynAck,
   kData,
   kAck,
   kFin,
   kRst,  // no endpoint at the destination port (ECONNRESET/ECONNREFUSED)
+  // ICMP-echo-like probe (SocketManager::ping): the destination's host
+  // stack answers a kEcho with a kEchoReply on the same flow, and the
+  // sender's stack completes the pending ping by that flow id.
+  kEcho,
+  kEchoReply,
 };
 
 struct Packet {
@@ -54,17 +59,6 @@ struct Packet {
   /// messages, `body_type`; the payload size is wire_size minus the
   /// transport header).
   std::shared_ptr<const void> body;
-
-  /// Invoked at the destination host once the packet has traversed the
-  /// full emulated path. Not invoked for dropped packets.
-  std::function<void(Packet&&)> on_deliver;
-
-  /// Deliver through the destination network's registered socket demux
-  /// instead of `on_deliver`. The sockets layer sets this: a closure would
-  /// capture the *source* host's socket manager, which under the parallel
-  /// engine may live on another shard — the flag makes delivery resolve
-  /// against destination-shard state only.
-  bool socket_demux = false;
 
   /// Fixed pipe delay accumulated but not yet served (parallel engine
   /// only). Source-side pipes defer their config delay into the packet so

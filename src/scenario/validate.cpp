@@ -651,7 +651,6 @@ class ValidatePlugin final : public WorkloadPlugin {
   std::size_t vnodes(const ScenarioSpec& spec) const override {
     return spec.validate.nodes;
   }
-  bool classic_only() const override { return true; }
 
   std::unique_ptr<Workload> create(const ScenarioSpec& spec) const override {
     return std::make_unique<ValidateWorkload>(spec);

@@ -1,7 +1,7 @@
 // The `ping_sweep` workload plugin: RTT vs. installed firewall rules
-// (the paper's Fig 6 microbenchmark). Classic engine only — the sweep
-// interleaves rule installation with synchronous ping rounds, which has
-// no meaning under sharded BSP.
+// (the paper's Fig 6 microbenchmark). Classic engine only: the sweep pings
+// physical nodes' admin addresses, a path that crosses no access pipe, so
+// it carries no deferred delay and gives the parallel engine no lookahead.
 #include <chrono>
 #include <cstdint>
 #include <memory>

@@ -94,6 +94,26 @@ SocketManager::Endpoint* SocketManager::endpoint_at(Ipv4Addr addr,
 }
 
 void SocketManager::dispatch(net::Packet&& packet) {
+  if (packet.kind == net::PacketKind::kEcho) {
+    // The host stack answers the probe itself, like ICMP echo: a fresh
+    // reply of the same size on the same flow.
+    net::Packet reply;
+    reply.src = packet.dst;
+    reply.dst = packet.src;
+    reply.wire_size = packet.wire_size;
+    reply.flow = packet.flow;
+    reply.kind = net::PacketKind::kEchoReply;
+    network_.send(std::move(reply));
+    return;
+  }
+  if (packet.kind == net::PacketKind::kEchoReply) {
+    const auto it = pings_.find(packet.flow);
+    if (it == pings_.end()) return;
+    PendingPing ping = std::move(it->second);
+    pings_.erase(it);  // the callback may start the next ping
+    ping.on_rtt(sim().now() - ping.sent_at);
+    return;
+  }
   const Proto proto = packet.kind == net::PacketKind::kDatagram
                           ? Proto::kUdp
                           : Proto::kTcp;
@@ -111,6 +131,19 @@ void SocketManager::dispatch(net::Packet&& packet) {
   endpoint->handle_packet(std::move(packet));
 }
 
+void SocketManager::ping(Ipv4Addr src, Ipv4Addr dst, DataSize size,
+                         std::function<void(Duration)> on_rtt) {
+  const ipfw::FlowId flow = 0x7f000000ull + ++pings_sent_;
+  pings_.emplace(flow, PendingPing{sim().now(), std::move(on_rtt)});
+  net::Packet request;
+  request.src = src;
+  request.dst = dst;
+  request.wire_size = size;
+  request.flow = flow;
+  request.kind = net::PacketKind::kEcho;
+  network_.send(std::move(request));
+}
+
 void SocketManager::send_rst(const net::Packet& original) {
   metrics_.rsts_sent.inc();
   net::Packet rst;
@@ -123,7 +156,6 @@ void SocketManager::send_rst(const net::Packet& original) {
   rst.flow = original.conn | (std::uint64_t{1} << 63);
   rst.kind = net::PacketKind::kRst;
   rst.conn = original.conn;
-  rst.socket_demux = true;
   network_.send(std::move(rst));
 }
 
@@ -308,7 +340,6 @@ void StreamSocket::transmit_data(std::uint64_t seq, const Message& message) {
   packet.seq = seq;
   packet.body_type = message.type;
   packet.body = message.body;
-  packet.socket_demux = true;
   mgr_.network().send(std::move(packet));
 }
 
@@ -328,7 +359,6 @@ void StreamSocket::send_control(net::PacketKind kind, std::uint64_t seq,
   packet.kind = kind;
   packet.conn = conn_id_;
   packet.seq = seq;
-  packet.socket_demux = true;
   mgr_.network().send(std::move(packet));
 }
 
@@ -420,6 +450,8 @@ void StreamSocket::handle_packet(net::Packet&& packet) {
     }
     case net::PacketKind::kSyn:
     case net::PacketKind::kDatagram:
+    case net::PacketKind::kEcho:
+    case net::PacketKind::kEchoReply:
       break;  // not meaningful on an established socket
   }
 }
@@ -875,7 +907,6 @@ void DatagramSocket::send_to(Ipv4Addr remote, std::uint16_t remote_port,
   packet.kind = net::PacketKind::kDatagram;
   packet.body_type = message.type;
   packet.body = std::move(message.body);
-  packet.socket_demux = true;
   mgr_.network().send(std::move(packet));
 }
 

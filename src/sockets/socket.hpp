@@ -131,8 +131,8 @@ class SocketManager {
   };
 
   /// Construction installs this manager as the network's socket demux:
-  /// packets flagged socket_demux deliver through dispatch(). One manager
-  /// per network (per shard under the parallel engine).
+  /// every delivered packet goes through dispatch(). One manager per
+  /// network (per shard under the parallel engine).
   SocketManager(net::Network& network, vnode::Interceptor interceptor = {},
                 StreamConfig config = {});
   ~SocketManager();
@@ -154,8 +154,18 @@ class SocketManager {
   Endpoint* endpoint_at(Ipv4Addr addr, std::uint16_t port,
                         Proto proto = Proto::kTcp);
 
-  /// Deliver handler installed on every packet the socket layer sends.
+  /// The network's demux: every packet that completes its path lands here.
+  /// Echo probes are answered by the stack itself; everything else goes to
+  /// the endpoint bound at its destination port.
   void dispatch(net::Packet&& packet);
+
+  /// ICMP-echo-like probe: send a `size`-byte kEcho from `src` to `dst`
+  /// through the full emulated path. The destination's stack answers with
+  /// a kEchoReply of the same size on the same flow, and `on_rtt` fires
+  /// with the round-trip time when that reply lands here. A lost probe
+  /// never completes.
+  void ping(Ipv4Addr src, Ipv4Addr dst, DataSize size,
+            std::function<void(Duration)> on_rtt);
 
   /// Abort every endpoint bound at `addr` (all ports, both protocols) —
   /// the socket-table sweep of a vnode crash. Safe against endpoints
@@ -182,6 +192,13 @@ class SocketManager {
   SocketMetrics metrics_;
   std::unordered_map<std::uint64_t, Endpoint*> endpoints_;
   std::unordered_map<std::uint64_t, std::uint16_t> next_ephemeral_;
+  struct PendingPing {
+    SimTime sent_at;
+    std::function<void(Duration)> on_rtt;
+  };
+  /// Outstanding pings by flow id (0x7f000000 + the manager's ping count).
+  std::unordered_map<ipfw::FlowId, PendingPing> pings_;
+  std::uint64_t pings_sent_ = 0;
 };
 
 /// One endpoint of an established (or connecting) stream.

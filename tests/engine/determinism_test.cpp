@@ -57,11 +57,11 @@ RunOutput run_fig8(std::size_t shards, std::size_t clients,
   pc.shards = shards;
   if (tcp) pc.stream.transport = sockets::TransportModel::kTcp;
   const bt::SwarmConfig config = fig8_swarm(clients);
+  metrics::Registry registry;  // before the platform: bound cells outlive it
   core::Platform platform(topology::homogeneous_dsl(bt::swarm_vnodes(config)),
                           pc);
   platform.enable_tracing(1 << 18);
   if (profile) platform.enable_profiling();
-  metrics::Registry registry;
   bt::Swarm swarm(platform, config);
   swarm.bind_metrics(registry);
   swarm.run();

@@ -44,8 +44,8 @@ RunOutput run_churn(std::size_t shards, std::size_t nodes = 16) {
   pc.seed = 11;
   pc.shards = shards;
   const Config config = small_cluster(nodes);
+  metrics::Registry registry;  // before the platform: bound cells outlive it
   core::Platform platform(topology::homogeneous_dsl(nodes), pc);
-  metrics::Registry registry;
   platform.bind_metrics(registry);
 
   Cluster cluster(platform, config);
@@ -80,8 +80,8 @@ TEST(GossipCluster, EveryMemberJoins) {
   pc.physical_nodes = 2;
   pc.seed = 3;
   const Config config = small_cluster(8);
+  metrics::Registry registry;  // before the platform: bound cells outlive it
   core::Platform platform(topology::homogeneous_dsl(8), pc);
-  metrics::Registry registry;
   platform.bind_metrics(registry);
   Cluster cluster(platform, config);
   cluster.bind_metrics();
@@ -100,8 +100,8 @@ TEST(GossipCluster, CrashIsDetectedClusterWide) {
   pc.physical_nodes = 2;
   pc.seed = 5;
   const Config config = small_cluster(8);
+  metrics::Registry registry;  // before the platform: bound cells outlive it
   core::Platform platform(topology::homogeneous_dsl(8), pc);
-  metrics::Registry registry;
   platform.bind_metrics(registry);
   Cluster cluster(platform, config);
   cluster.bind_metrics();
@@ -142,8 +142,8 @@ TEST(GossipCluster, RejoinRefutesSuspicionAndHeals) {
   pc.physical_nodes = 2;
   pc.seed = 9;
   const Config config = small_cluster(8);
+  metrics::Registry registry;  // before the platform: bound cells outlive it
   core::Platform platform(topology::homogeneous_dsl(8), pc);
-  metrics::Registry registry;
   platform.bind_metrics(registry);
   Cluster cluster(platform, config);
   cluster.bind_metrics();
@@ -179,8 +179,8 @@ TEST(GossipCluster, CrashBeforeJoinSlotThenRejoin) {
   pc.physical_nodes = 2;
   pc.seed = 13;
   const Config config = small_cluster(8);  // node 7 joins at t = 1.4 s
+  metrics::Registry registry;  // before the platform: bound cells outlive it
   core::Platform platform(topology::homogeneous_dsl(8), pc);
-  metrics::Registry registry;
   platform.bind_metrics(registry);
   Cluster cluster(platform, config);
   cluster.bind_metrics();

@@ -7,6 +7,8 @@
 #include <cmath>
 #include <vector>
 
+#include "metrics/registry.hpp"
+
 namespace p2plab::ipfw {
 namespace {
 
@@ -15,6 +17,7 @@ class GilbertElliottTest : public ::testing::Test {
   /// Feed `n` zero-delay segments through `pipe` one sim-step at a time
   /// and record, per segment, whether it was dropped.
   std::vector<bool> run_segments(Pipe& pipe, int n) {
+    pipe.bind_metrics(metrics);  // the drop counters the tests read
     std::vector<bool> dropped;
     std::vector<bool> refused;  // enqueue's verdict, per segment
     dropped.reserve(static_cast<std::size_t>(n));
@@ -44,6 +47,16 @@ class GilbertElliottTest : public ::testing::Test {
         .queue_limit = DataSize::mib(64)};
   }
 
+  /// Segments dropped for any reason: every ipfw.pipe.drops_* counter.
+  double drops() const {
+    return registry.value("ipfw.pipe.drops_loss") +
+           registry.value("ipfw.pipe.drops_burst") +
+           registry.value("ipfw.pipe.drops_down") +
+           registry.value("ipfw.pipe.drops_overflow");
+  }
+
+  metrics::Registry registry;
+  PipeMetrics metrics = PipeMetrics::resolve(registry);
   sim::Simulation sim;
 };
 
@@ -51,7 +64,7 @@ TEST_F(GilbertElliottTest, DisabledModelLosesNothing) {
   Pipe pipe(sim, PipeConfig{.bandwidth = Bandwidth::unlimited()}, Rng{7});
   const auto dropped = run_segments(pipe, 2000);
   for (const bool d : dropped) EXPECT_FALSE(d);
-  EXPECT_EQ(pipe.stats().segments_dropped, 0u);
+  EXPECT_EQ(drops(), 0.0);
 }
 
 TEST_F(GilbertElliottTest, LongRunLossMatchesStationaryBadShare) {
@@ -63,10 +76,8 @@ TEST_F(GilbertElliottTest, LongRunLossMatchesStationaryBadShare) {
   for (const bool d : dropped) losses += d;
   const double rate = static_cast<double>(losses) / n;
   EXPECT_NEAR(rate, 0.1 / 0.35, 0.02);
-  EXPECT_EQ(pipe.stats().segments_dropped_burst,
-            static_cast<std::uint64_t>(losses));
-  EXPECT_EQ(pipe.stats().segments_dropped,
-            static_cast<std::uint64_t>(losses));
+  EXPECT_EQ(registry.value("ipfw.pipe.drops_burst"), static_cast<double>(losses));
+  EXPECT_EQ(drops(), static_cast<double>(losses));
 }
 
 TEST_F(GilbertElliottTest, MeanBurstLengthIsInverseRecoveryProbability) {
@@ -128,8 +139,8 @@ TEST_F(GilbertElliottTest, ChainStateSurvivesReconfigure) {
   // spike on a bursty link should not heal the link).
   Pipe pipe(sim, ge_config(0.5, 0.001, 1.0), Rng{9});
   run_segments(pipe, 200);  // almost surely in the bad state now
-  const auto before = pipe.stats().segments_dropped_burst;
-  EXPECT_GT(before, 0u);
+  const double before = registry.value("ipfw.pipe.drops_burst");
+  EXPECT_GT(before, 0.0);
   PipeConfig cfg = pipe.config();
   cfg.delay = Duration::ms(100);
   pipe.reconfigure(cfg);
@@ -201,11 +212,11 @@ TEST_F(GilbertElliottTest, AdminDownDropsEverythingUntilRestored) {
   EXPECT_TRUE(pipe.is_down());
   auto dropped = run_segments(pipe, 50);
   for (const bool d : dropped) EXPECT_TRUE(d);
-  EXPECT_EQ(pipe.stats().segments_dropped_down, 50u);
+  EXPECT_EQ(registry.value("ipfw.pipe.drops_down"), 50.0);
   pipe.set_down(false);
   dropped = run_segments(pipe, 50);
   for (const bool d : dropped) EXPECT_FALSE(d);
-  EXPECT_EQ(pipe.stats().segments_dropped_down, 50u);
+  EXPECT_EQ(registry.value("ipfw.pipe.drops_down"), 50.0);
 }
 
 }  // namespace

@@ -5,11 +5,15 @@
 #include <utility>
 #include <vector>
 
+#include "metrics/registry.hpp"
+
 namespace p2plab::ipfw {
 namespace {
 
 class PipeTest : public ::testing::Test {
  protected:
+  metrics::Registry registry;
+  PipeMetrics metrics = PipeMetrics::resolve(registry);
   sim::Simulation sim;
   Rng rng{1};
 
@@ -110,6 +114,7 @@ TEST_F(PipeTest, QueueOverflowDrops) {
   Pipe pipe(sim, {.bandwidth = Bandwidth::kbps(64),
                   .queue_limit = DataSize::bytes(3000)},
             rng);
+  pipe.bind_metrics(metrics);
   int dropped = 0;
   std::vector<SimTime> exits;
   for (int i = 0; i < 10; ++i) {
@@ -119,7 +124,7 @@ TEST_F(PipeTest, QueueOverflowDrops) {
   // 1 in service + 2 queued fit; the rest drop.
   EXPECT_EQ(dropped, 7);
   EXPECT_EQ(exits.size(), 3u);
-  EXPECT_EQ(pipe.stats().segments_dropped, 7u);
+  EXPECT_EQ(registry.value("ipfw.pipe.drops_overflow"), 7.0);
 }
 
 TEST_F(PipeTest, RandomLossDropsExpectedFraction) {
@@ -139,15 +144,18 @@ TEST_F(PipeTest, RandomLossDropsExpectedFraction) {
 
 TEST_F(PipeTest, StatsAccounting) {
   Pipe pipe(sim, {.bandwidth = Bandwidth::mbps(1)}, rng);
+  pipe.bind_metrics(metrics);
   std::vector<SimTime> exits;
   pipe.enqueue(seg(DataSize::kib(1), 1, &exits));
   pipe.enqueue(seg(DataSize::kib(2), 1, &exits));
   sim.run();
-  EXPECT_EQ(pipe.stats().segments_in, 2u);
-  EXPECT_EQ(pipe.stats().segments_out, 2u);
-  EXPECT_EQ(pipe.stats().bytes_in, 3u * 1024);
-  EXPECT_EQ(pipe.stats().bytes_out, 3u * 1024);
-  EXPECT_EQ(pipe.stats().segments_dropped, 0u);
+  EXPECT_EQ(registry.value("ipfw.pipe.segments_in"), 2.0);
+  EXPECT_EQ(registry.value("ipfw.pipe.segments_out"), 2.0);
+  EXPECT_EQ(registry.value("ipfw.pipe.bytes_in"), 3.0 * 1024);
+  EXPECT_EQ(registry.value("ipfw.pipe.bytes_out"), 3.0 * 1024);
+  EXPECT_EQ(registry.value("ipfw.pipe.drops_loss") +
+                registry.value("ipfw.pipe.drops_overflow"),
+            0.0);
 }
 
 TEST_F(PipeTest, ReconfigureChangesRate) {
@@ -242,6 +250,7 @@ TEST_F(PipeTest, RingAndSlabGrowthKeepOrder) {
   constexpr std::uint64_t kSeg = 4096;
   constexpr FlowId kLate = 256;
   Pipe pipe(sim, byte_per_us(), rng);
+  pipe.bind_metrics(metrics);
   Order order;
   pipe.enqueue(tagged(kSeg, 0, 0, &order));  // service [0, 4.096 ms)
   for (int i = 0; i < 2; ++i) {
@@ -262,7 +271,8 @@ TEST_F(PipeTest, RingAndSlabGrowthKeepOrder) {
   }
   EXPECT_EQ(order, expected);
   EXPECT_EQ(pipe.queued(), DataSize::zero());
-  EXPECT_EQ(pipe.stats().segments_out, expected.size());
+  EXPECT_EQ(registry.value("ipfw.pipe.segments_out"),
+            static_cast<double>(expected.size()));
 }
 
 TEST_F(PipeTest, SlabRecyclesAcrossBusyPeriods) {

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "metrics/registry.hpp"
+
 namespace p2plab::net {
 namespace {
 
@@ -12,21 +14,26 @@ CidrBlock cidr(const char* text) { return *CidrBlock::parse(text); }
 
 class NetworkTest : public ::testing::Test {
  protected:
-  sim::Simulation sim;
-  Network network{sim, Rng{1}};
+  NetworkTest() {
+    network.bind_metrics(registry);
+    // Stand-in for the socket layer: record each delivery's arrival time.
+    network.set_socket_demux(
+        [this](Packet&&) { deliveries.push_back(sim.now()); });
+  }
 
-  Packet packet(Ipv4Addr src, Ipv4Addr dst, DataSize size,
-                std::vector<SimTime>* deliveries) {
+  static Packet packet(Ipv4Addr src, Ipv4Addr dst, DataSize size) {
     Packet p;
     p.src = src;
     p.dst = dst;
     p.wire_size = size;
     p.flow = 1;
-    p.on_deliver = [this, deliveries](Packet&&) {
-      deliveries->push_back(sim.now());
-    };
     return p;
   }
+
+  metrics::Registry registry;  // before the network: bound cells outlive it
+  sim::Simulation sim;
+  Network network{sim, Rng{1}};
+  std::vector<SimTime> deliveries;
 };
 
 TEST_F(NetworkTest, HostRegistration) {
@@ -42,10 +49,8 @@ TEST_F(NetworkTest, BasicDeliveryLatency) {
   Host& a = network.add_host("node1", ip("192.168.38.1"));
   network.add_host("node2", ip("192.168.38.2"));
   (void)a;
-  std::vector<SimTime> deliveries;
   network.send(
-      packet(ip("192.168.38.1"), ip("192.168.38.2"), DataSize::bytes(64),
-             &deliveries));
+      packet(ip("192.168.38.1"), ip("192.168.38.2"), DataSize::bytes(64)));
   sim.run();
   ASSERT_EQ(deliveries.size(), 1u);
   // Path: src cpu (10us/2cpus=5us) + NIC tx (64B@1Gbps + 20us) + switch
@@ -53,17 +58,16 @@ TEST_F(NetworkTest, BasicDeliveryLatency) {
   const double us = (deliveries[0] - SimTime::zero()).to_micros();
   EXPECT_GT(us, 50.0);
   EXPECT_LT(us, 200.0);
-  EXPECT_EQ(network.stats().packets_delivered, 1u);
+  EXPECT_EQ(registry.value("net.packets_delivered"), 1.0);
 }
 
 TEST_F(NetworkTest, UnroutableDropped) {
   network.add_host("node1", ip("192.168.38.1"));
-  std::vector<SimTime> deliveries;
   network.send(packet(ip("192.168.38.1"), ip("10.99.0.1"),
-                      DataSize::bytes(64), &deliveries));
+                      DataSize::bytes(64)));
   sim.run();
   EXPECT_TRUE(deliveries.empty());
-  EXPECT_EQ(network.stats().packets_unroutable, 1u);
+  EXPECT_EQ(registry.value("net.packets_unroutable"), 1.0);
 }
 
 TEST_F(NetworkTest, DenyRuleDrops) {
@@ -72,12 +76,11 @@ TEST_F(NetworkTest, DenyRuleDrops) {
   a.firewall().add_rule({.number = 10, .src = CidrBlock::any(),
                          .dst = cidr("192.168.38.2/32"),
                          .action = ipfw::RuleAction::kDeny});
-  std::vector<SimTime> deliveries;
   network.send(packet(ip("192.168.38.1"), ip("192.168.38.2"),
-                      DataSize::bytes(64), &deliveries));
+                      DataSize::bytes(64)));
   sim.run();
   EXPECT_TRUE(deliveries.empty());
-  EXPECT_EQ(network.stats().packets_dropped_fw, 1u);
+  EXPECT_EQ(registry.value("net.packets_dropped_fw"), 1.0);
 }
 
 TEST_F(NetworkTest, VnodePipesShapeTraffic) {
@@ -97,9 +100,8 @@ TEST_F(NetworkTest, VnodePipesShapeTraffic) {
                          .dst = cidr("10.0.0.51/32"),
                          .action = ipfw::RuleAction::kPipe, .pipe = down});
 
-  std::vector<SimTime> deliveries;
   network.send(
-      packet(ip("10.0.0.1"), ip("10.0.0.51"), DataSize::kib(16), &deliveries));
+      packet(ip("10.0.0.1"), ip("10.0.0.51"), DataSize::kib(16)));
   sim.run();
   ASSERT_EQ(deliveries.size(), 1u);
   // Uplink serialization 1.024 s + 30 ms + 30 ms + downlink serialization
@@ -119,9 +121,8 @@ TEST_F(NetworkTest, CoLocatedVnodesStillShaped) {
   a.firewall().add_rule({.number = 100, .src = cidr("10.0.0.1/32"),
                          .dst = CidrBlock::any(),
                          .action = ipfw::RuleAction::kPipe, .pipe = up});
-  std::vector<SimTime> deliveries;
   network.send(
-      packet(ip("10.0.0.1"), ip("10.0.0.2"), DataSize::kib(16), &deliveries));
+      packet(ip("10.0.0.1"), ip("10.0.0.2"), DataSize::kib(16)));
   sim.run();
   ASSERT_EQ(deliveries.size(), 1u);
   EXPECT_GT(deliveries[0].to_seconds(), 1.05);  // 1.024 s + 30 ms
@@ -143,9 +144,7 @@ TEST_F(NetworkTest, GroupLatencyPipeApplies) {
   a.firewall().add_rule({.number = 200, .src = cidr("10.1.0.0/16"),
                          .dst = cidr("10.2.0.0/16"),
                          .action = ipfw::RuleAction::kPipe, .pipe = group});
-  std::vector<SimTime> deliveries;
-  network.send(packet(ip("10.1.3.207"), ip("10.2.2.117"), DataSize::bytes(64),
-                      &deliveries));
+  network.send(packet(ip("10.1.3.207"), ip("10.2.2.117"), DataSize::bytes(64)));
   sim.run();
   ASSERT_EQ(deliveries.size(), 1u);
   EXPECT_NEAR(deliveries[0].to_millis(), 420.0, 1.0);
@@ -162,10 +161,9 @@ TEST_F(NetworkTest, NicIsSharedBottleneck) {
   a.add_alias(ip("10.0.0.1"));
   a.add_alias(ip("10.0.0.2"));
 
-  std::vector<SimTime> deliveries;
   for (int i = 0; i < 20; ++i) {
     Packet p = packet(i % 2 == 0 ? ip("10.0.0.1") : ip("10.0.0.2"),
-                      ip("10.0.1.1"), DataSize::kib(64), &deliveries);
+                      ip("10.0.1.1"), DataSize::kib(64));
     p.flow = static_cast<ipfw::FlowId>(i % 2);
     network.send(std::move(p));
   }
@@ -179,22 +177,20 @@ TEST_F(NetworkTest, ScanCostAddsLatency) {
   // Figure 6's mechanism end to end: filler rules slow every packet down.
   Host& a = network.add_host("node1", ip("192.168.38.1"));
   network.add_host("node2", ip("192.168.38.2"));
-  std::vector<SimTime> no_rules;
   const SimTime sent1 = sim.now();
   network.send(packet(ip("192.168.38.1"), ip("192.168.38.2"),
-                      DataSize::bytes(64), &no_rules));
+                      DataSize::bytes(64)));
   sim.run();
+  ASSERT_EQ(deliveries.size(), 1u);
 
   a.firewall().add_filler_rules(1000, 20000);
-  std::vector<SimTime> with_rules;
   const SimTime sent2 = sim.now();
   network.send(packet(ip("192.168.38.1"), ip("192.168.38.2"),
-                      DataSize::bytes(64), &with_rules));
+                      DataSize::bytes(64)));
   sim.run();
-  ASSERT_EQ(no_rules.size(), 1u);
-  ASSERT_EQ(with_rules.size(), 1u);
-  const double baseline_us = (no_rules[0] - sent1).to_micros();
-  const double padded_us = (with_rules[0] - sent2).to_micros();
+  ASSERT_EQ(deliveries.size(), 2u);
+  const double baseline_us = (deliveries[0] - sent1).to_micros();
+  const double padded_us = (deliveries[1] - sent2).to_micros();
   // 20000 rules x 50 ns = 1 ms of serial scan latency, one-way.
   EXPECT_NEAR(padded_us - baseline_us, 1000.0, 50.0);
 }

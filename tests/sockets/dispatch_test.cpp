@@ -203,6 +203,23 @@ TEST_F(DispatchTest, DatagramKeepsTypeSizeAndBody) {
   EXPECT_EQ(got.as<std::string>(), "x");
 }
 
+// The echo probe behind Figs 6 and 7: the destination's stack answers it
+// with no socket bound there, and each reply completes its own ping once —
+// also when the callback starts the next ping.
+TEST_F(DispatchTest, EchoIsAnsweredByTheStack) {
+  std::vector<Duration> rtts;
+  mgr.ping(ip("10.0.0.1"), ip("10.0.0.51"), DataSize::bytes(64),
+           [&](Duration first) {
+             rtts.push_back(first);
+             mgr.ping(ip("10.0.0.1"), ip("10.0.0.51"), DataSize::bytes(64),
+                      [&](Duration second) { rtts.push_back(second); });
+           });
+  sim.run();
+  ASSERT_EQ(rtts.size(), 2u);
+  EXPECT_GT(rtts[0], Duration::zero());
+  EXPECT_EQ(rtts[0], rtts[1]);  // the same idle path both times
+}
+
 TEST_F(DispatchTest, SelfCapturingSocketsAreFreedAfterClose) {
   // Both ends' handlers own their socket, the pattern of the tracker's
   // accept handler and Client::announce. Teardown drops the handlers, so
